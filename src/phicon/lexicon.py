@@ -126,10 +126,8 @@ def _date_space(template: str) -> int:
     days = sum(366 if calendar.isleap(y) else 365
                for y in range(_YEARS[0], _YEARS[1] + 1))
     if template == "M/D/YY":
-        # two-digit year collapses decades: 1950..2020 -> 71 years but only
-        # 100 distinct YY values; count conservatively as distinct strings.
-        distinct_years = min(71, 100)
-        return distinct_years * 366  # upper bound is fine for exhaustion use
+        # 1950..2020 is 71 years, all with distinct YY; 366 days bounds each.
+        return 71 * 366
     return days
 
 
@@ -263,6 +261,9 @@ def generate_identifiers(spec: GeneratorSpec, count: int, seed: int) -> Lexicon:
 class LexiconRegistry:
     by_fine: dict[str, Lexicon] = field(default_factory=dict)
     taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY
+    # name -> Lexicon for every resolvable name, built once at construction
+    _resolved: dict[str, Lexicon] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         for name, lex in self.by_fine.items():
@@ -271,33 +272,31 @@ class LexiconRegistry:
             if lex.phi_type != name:
                 raise LexiconError(
                     f"lexicon for {lex.phi_type} registered under {name}")
+        resolved = {}
+        for coarse in self.taxonomy.coarse_types:
+            fines = [self.by_fine[f] for f in self.taxonomy.fines_of(coarse)
+                     if f in self.by_fine]
+            # "ID" is also a fine type and resolves only to that lexicon
+            if fines and coarse not in self.taxonomy.fine_types:
+                resolved[coarse] = Lexicon(coarse, tuple(dict.fromkeys(
+                    e for lex in fines for e in lex.entries)))
+        resolved.update(self.by_fine)
+        object.__setattr__(self, "_resolved", resolved)
 
 
 def registry_resolve(registry: LexiconRegistry, label_type: str) -> Lexicon:
     """Fine name -> its lexicon; coarse name -> deduplicated union of the
-    category's registered fine lexicons. Fine names win when a name (like
-    "ID") is both a fine type and a coarse category."""
+    category's registered fine lexicons, in first-seen order. The unions
+    are built once, when the registry is constructed, so every call returns
+    the same object. Fine names win when a name (like "ID") is both a fine
+    type and a coarse category."""
+    lex = registry._resolved.get(label_type)
+    if lex is not None:
+        return lex
     tax = registry.taxonomy
     if label_type in tax.fine_types:
-        lex = registry.by_fine.get(label_type)
-        if lex is None:
-            raise LexiconError(f"no lexicon registered for {label_type}")
-        return lex
+        raise LexiconError(f"no lexicon registered for {label_type}")
     if label_type in tax.coarse_of.values():
-        entries: list[str] = []
-        seen: set[str] = set()
-        found = False
-        for fine in tax.fines_of(label_type):
-            lex = registry.by_fine.get(fine)
-            if lex is None:
-                continue
-            found = True
-            for e in lex.entries:
-                if e not in seen:
-                    seen.add(e)
-                    entries.append(e)
-        if not found:
-            raise LexiconError(
-                f"no lexicon registered for any fine type of {label_type}")
-        return Lexicon(label_type, tuple(entries))
+        raise LexiconError(
+            f"no lexicon registered for any fine type of {label_type}")
     raise LexiconError(f"unknown PHI type {label_type!r}")

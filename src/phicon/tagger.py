@@ -260,6 +260,10 @@ def load_model(path) -> TaggerModel:
             raise ModelFormatError(
                 f"unsupported model version {magic[1]} (want {_MODEL_VERSION})")
         template = magic[2]
+        if template != FEATURE_TEMPLATE_VERSION:
+            raise ModelFormatError(
+                f"unsupported feature template {template} "
+                f"(want {FEATURE_TEMPLATE_VERSION})")
         if not lines[1].startswith("labels "):
             raise ModelFormatError("missing label table")
         label_set = lines[1][len("labels "):].split("\t")
@@ -268,7 +272,7 @@ def load_model(path) -> TaggerModel:
         meta = {}
         for kv in lines[2][len("meta "):].split(" "):
             k, _, v = kv.partition("=")
-            meta[k] = int(v) if v.lstrip("-").isdigit() else v
+            meta[k] = int(v) if k in ("epochs", "seed") else v
         if not lines[3].startswith("nweights "):
             raise ModelFormatError("missing weight count")
         n = int(lines[3][len("nweights "):])

@@ -217,6 +217,20 @@ class TestModelCommands:
         assert run(["eval", "--model", str(bad),
                     "--test", str(small_conll)]) == 1
 
+    def test_eval_unknown_feature_template(self, small_conll, tmp_path,
+                                           capsys):
+        model = tmp_path / "model.txt"
+        assert run(["train", "--in", str(small_conll),
+                    "--model", str(model), "--epochs", "1"]) == 0
+        model.write_text(model.read_text().replace(
+            "phicon-tagger 1 ft1", "phicon-tagger 1 ft2", 1))
+        capsys.readouterr()
+        assert run(["eval", "--model", str(model),
+                    "--test", str(small_conll)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestExperimentCommands:
     @pytest.fixture

@@ -145,3 +145,37 @@ class TestRegistryResolve:
         for fine in ("Hospital", "Location", "Zip", "Organization"):
             for e in fixture_registry.by_fine[fine].entries:
                 assert e in union.entries
+
+    def test_coarse_unions_match_reference(self):
+        registry = phicon.builtin_registry(seed=3)
+        tax = registry.taxonomy
+        for coarse in ("NAME", "LOCATION", "DATE", "CONTACT"):
+            entries, seen = [], set()
+            for fine in tax.fines_of(coarse):
+                for e in registry.by_fine[fine].entries:
+                    if e not in seen:
+                        seen.add(e)
+                        entries.append(e)
+            union = phicon.registry_resolve(registry, coarse)
+            assert union.phi_type == coarse
+            assert union.entries == tuple(entries)
+
+    def test_same_object_every_call(self):
+        registry = phicon.builtin_registry(seed=3)
+        for name in ("NAME", "LOCATION", "DATE", "ID", "CONTACT", "Doctor"):
+            first = phicon.registry_resolve(registry, name)
+            assert phicon.registry_resolve(registry, name) is first
+
+    def test_coarse_id_is_fine_id(self):
+        # "ID" is both a fine type and a coarse category; the fine name
+        # wins, so MedicalRecord entries are not part of it.
+        registry = phicon.builtin_registry(seed=3)
+        lex = phicon.registry_resolve(registry, "ID")
+        assert lex is registry.by_fine["ID"]
+        assert not set(registry.by_fine["MedicalRecord"].entries) <= set(
+            lex.entries)
+
+    def test_empty_registry_constructs(self):
+        registry = phicon.LexiconRegistry({})
+        assert registry == phicon.LexiconRegistry({})
+        assert "_resolved" not in repr(registry)

@@ -170,6 +170,24 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_leading_zero_fingerprint_round_trip(self, tmp_path):
+        model = train(_train_corpus(), epochs=1, seed=0)
+        model.training_meta["corpus_fingerprint"] = "0123456789012345"
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert load_model(path).training_meta == model.training_meta
+
+    def test_unknown_feature_template(self, tmp_path):
+        model = train(_train_corpus(), epochs=1, seed=0)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        text = path.read_text().replace(
+            f"phicon-tagger 1 {FEATURE_TEMPLATE_VERSION}",
+            "phicon-tagger 1 ft2", 1)
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match="feature template ft2"):
+            load_model(path)
+
     def test_truncated_file(self, tmp_path):
         model = train(_train_corpus(), epochs=1, seed=0)
         path = tmp_path / "model.txt"
