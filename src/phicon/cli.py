@@ -324,6 +324,7 @@ def _cmd_ablate(args, config):
 # ---------------------------------------------------------------------------
 
 def _add_augment_flags(p):
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--sr-rate", dest="sr_rate", type=float, default=None)
     p.add_argument("--ri-rate", dest="ri_rate", type=float, default=None)
@@ -346,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--records", default=None, help="JSONL audit log path")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--dry-run", action="store_true")
     _add_augment_flags(p)
     p.set_defaults(func=_cmd_augment)
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fraction", type=float, default=1.0)
         p.add_argument("--seeds", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         _add_augment_flags(p)
         p.set_defaults(func=_cmd_xeval if name == "xeval" else _cmd_ablate)
 
@@ -414,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default=None, help="e.g. 1,2,3,4")
     p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_augment_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -425,6 +423,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

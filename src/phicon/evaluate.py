@@ -141,9 +141,12 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
     needs_aug = any(cfg is not None for _, cfg in arms)
     if needs_aug and (registry is None or provider is None):
         raise PhiconError("augmentation arms need a registry and a provider")
-
     per_arm: dict[str, list[float]] = {name: [] for name, _ in arms}
+    if len(per_arm) != len(arms):
+        raise PhiconError("arm names must be unique")
     alpha = next((cfg.alpha for _, cfg in arms if cfg is not None), 0)
+    # Featurized once and only read afterwards, so --jobs threads share it.
+    test_feats = tagger.featurize_sentences(test.sentences())
 
     def run_one(seed_index: int, name: str, cfg) -> float:
         subsample = _subsample(train, train_fraction,
@@ -156,7 +159,7 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
         model = tagger.train(corpus, epochs=epochs,
                              seed=derive_seed(_TAGGER_SALT, seed_index))
         return binary_token_f1(
-            test, tagger.predict_corpus(model, test)).micro_f1
+            test, tagger.predict_features(model, test_feats)).micro_f1
 
     tasks = [(s, name, cfg) for s in range(1, n_seeds + 1)
              for name, cfg in arms]
@@ -188,15 +191,13 @@ def alpha_sweep(train: Corpus, dev: Corpus, alphas, base_config: AugmentConfig,
             warnings.warn(f"duplicate alpha {a} dropped", stacklevel=2)
         else:
             uniq.append(a)
-    out: dict[int, float] = {}
-    for a in uniq:
-        cfg = None if a == 0 else replace(base_config, alpha=a)
-        result = cross_dataset_eval(
-            train, dev, [(f"alpha={a}", cfg)], train_fraction=1.0,
-            n_seeds=n_seeds, epochs=epochs, registry=registry,
-            provider=provider, setting=setting, jobs=jobs)
-        out[a] = result.means[f"alpha={a}"]
-    return out
+    # One experiment, an arm per alpha: they share subsamples and features.
+    result = cross_dataset_eval(
+        train, dev, [(f"alpha={a}", replace(base_config, alpha=a) if a else None)
+                     for a in uniq], train_fraction=1.0, n_seeds=n_seeds,
+        epochs=epochs, registry=registry, provider=provider, setting=setting,
+        jobs=jobs)
+    return {a: result.means[f"alpha={a}"] for a in uniq}
 
 
 ABLATION_ARMS = ("baseline", "phi_only", "context_only", "phicon")

@@ -11,6 +11,7 @@ construction.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 
 from .corpus import Corpus, Label, Sentence, serialize_conll, validate_bio
@@ -84,39 +85,41 @@ class TaggerModel:
             raise PhiconError("label set must contain Outside")
 
 
-def _score_and_pick(weights, label_set, label_types, feats, prev_type):
-    """Greedy argmax over labels with the BIO mask applied.
-
-    prev_type is the PHI type of the previous predicted label, or None.
-    Ties go to the earlier label in label_set.
-    """
-    best = None
-    best_score = None
-    scores = {}
-    for f in feats:
-        d = weights.get(f)
-        if d:
-            for lbl, w in d.items():
-                scores[lbl] = scores.get(lbl, 0.0) + w
-    for i, lbl in enumerate(label_set):
-        if label_types[i][0] == "I" and label_types[i][1] != prev_type:
-            continue
-        s = scores.get(lbl, 0.0)
-        if best_score is None or s > best_score:
-            best = lbl
-            best_score = s
-    return best
+def _features(sentence: Sentence, memo: dict | None = None) -> list:
+    """featurize at every position; a memo makes equal strings one object."""
+    feats = [featurize(sentence, i) for i in range(len(sentence))]
+    return feats if memo is None else [[memo.setdefault(f, f) for f in fs]
+                                       for fs in feats]
 
 
-def _label_kinds(label_set):
-    """Precomputed (kind, phi_type) per label for the BIO mask."""
-    out = []
-    for lbl in label_set:
-        if lbl == "O":
-            out.append(("O", None))
-        else:
-            out.append((lbl[0], lbl[2:]))
-    return out
+def featurize_sentences(sentences) -> list:
+    """Token features of each sentence, for scoring them with several
+    models (predict_features) without featurizing them again."""
+    memo: dict[str, str] = {}
+    return [_features(s, memo) for s in sentences]
+
+
+def _bio_masks(label_set):
+    """(types, masks): each label's PHI type (None for Outside), and per
+    previous type the label indices allowed next, in label order."""
+    types = [None if lbl == "O" else lbl[2:] for lbl in label_set]
+    return types, {prev: [i for i, lbl in enumerate(label_set)
+                          if lbl[:1] != "I" or types[i] == prev]
+                   for prev in types}
+
+
+def _decode(rows, types, masks, feats):
+    """Greedy masked decode of one sentence, yielding label indices: a token
+    scores the sum of its features' rows (weights by label index) in feature
+    order, and ties go to the earlier label. Lazy, so that training can
+    update rows between tokens."""
+    allowed = masks[None]
+    for fs in feats:
+        hit = [r for r in map(rows.get, fs) if r]
+        best = (max(allowed, key=[*map(sum, zip(*hit))].__getitem__)
+                if hit else allowed[0])
+        yield best
+        allowed = masks[types[best]]
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
@@ -131,63 +134,49 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     if not sentences:
         raise PhiconError("cannot train on an empty corpus")
 
-    label_set: list[str] = ["O"]
-    seen = {"O"}
-    for sent in sentences:
-        for tok in sent.tokens:
-            lbl = str(tok.label)
-            if lbl not in seen:
-                seen.add(lbl)
-                label_set.append(lbl)
-    label_types = _label_kinds(label_set)
+    seen = dict.fromkeys(str(t.label) for sent in sentences for t in sent.tokens)
+    label_set = ["O"] + [lbl for lbl in seen if lbl != "O"]
+    index = {lbl: i for i, lbl in enumerate(label_set)}
+    types, masks = _bio_masks(label_set)
+    n = len(label_set)
 
     # Featurize once; features do not depend on decoding state.
-    data = []
-    for sent in sentences:
-        feats = [featurize(sent, i) for i in range(len(sent))]
-        golds = [str(t.label) for t in sent.tokens]
-        data.append((feats, golds))
+    data = [(fs, [index[str(t.label)] for t in sent.tokens])
+            for sent, fs in zip(sentences, featurize_sentences(sentences))]
 
-    weights: dict[str, dict[str, float]] = {}
-    totals: dict[tuple, float] = {}
-    stamps: dict[tuple, int] = {}
+    # One row per feature, indexed by label, for the weights and for the
+    # lazy averaging (Collins 2002): each entry's running total and the
+    # step of its last update. A feature gets its rows at its first update.
+    weights, totals, stamps = {}, {}, {}
     step = 0
-
-    def bump(feat, lbl, delta):
-        key = (feat, lbl)
-        d = weights.setdefault(feat, {})
-        w = d.get(lbl, 0.0)
-        totals[key] = totals.get(key, 0.0) + (step - stamps.get(key, 0)) * w
-        stamps[key] = step
-        d[lbl] = w + delta
-
     order = list(range(len(data)))
     for epoch in range(epochs):
         RandomStream(derive_seed(seed, epoch)).shuffle(order)
         for si in order:
             feats, golds = data[si]
-            prev_type = None
-            for fs, gold in zip(feats, golds):
+            # Decode greedily from the model's own predictions so training
+            # sees the same conditions as inference.
+            for fs, gold, pred in zip(feats, golds,
+                                      _decode(weights, types, masks, feats)):
                 step += 1
-                pred = _score_and_pick(weights, label_set, label_types,
-                                       fs, prev_type)
-                if pred != gold:
-                    for f in fs:
-                        bump(f, gold, 1.0)
-                        bump(f, pred, -1.0)
-                # Decode greedily from the model's own predictions so
-                # training sees the same conditions as inference.
-                prev_type = (pred[2:] if pred != "O" else None)
+                if pred == gold:
+                    continue
+                for f in fs:
+                    w = weights.get(f)
+                    if w is None:
+                        w = weights[f] = [0.0] * n
+                        totals[f], stamps[f] = [0.0] * n, [0] * n
+                    t, s = totals[f], stamps[f]
+                    for li, delta in ((gold, 1.0), (pred, -1.0)):
+                        t[li] += (step - s[li]) * w[li]
+                        s[li] = step
+                        w[li] += delta
 
     averaged: dict[str, dict[str, float]] = {}
-    for feat, d in weights.items():
-        avg = {}
-        for lbl, w in d.items():
-            key = (feat, lbl)
-            total = totals.get(key, 0.0) + (step - stamps.get(key, 0)) * w
-            value = total / step
-            if value:
-                avg[lbl] = value
+    for feat, w in weights.items():
+        t, s = totals[feat], stamps[feat]
+        avg = {label_set[i]: v for i in range(n)
+               if (v := (t[i] + (step - s[i]) * w[i]) / step)}
         if avg:
             averaged[feat] = avg
 
@@ -203,22 +192,25 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     )
 
 
+def predict_features(model: TaggerModel, corpus_feats) -> list[list[Label]]:
+    """One label list per featurized sentence (see featurize_sentences); the
+    scoring path of predict and predict_corpus too."""
+    rows = {f: [d.get(lbl, 0.0) for lbl in model.label_set]
+            for f, d in model.weights.items()}
+    types, masks = _bio_masks(model.label_set)
+    labels = [Label.parse(lbl) for lbl in model.label_set]
+    return [[labels[i] for i in _decode(rows, types, masks, feats)]
+            for feats in corpus_feats]
+
+
 def predict(model: TaggerModel, sentence: Sentence) -> list[Label]:
     """One label per token; output always passes validate_bio."""
-    label_types = _label_kinds(model.label_set)
-    out: list[Label] = []
-    prev_type = None
-    for i in range(len(sentence)):
-        feats = featurize(sentence, i)
-        pred = _score_and_pick(model.weights, model.label_set, label_types,
-                               feats, prev_type)
-        out.append(Label.parse(pred))
-        prev_type = pred[2:] if pred != "O" else None
-    return out
+    return predict_features(model, [_features(sentence)])[0]
 
 
 def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
-    return [predict(model, s) for s in corpus.sentences()]
+    # One sentence's features at a time, to keep peak memory flat.
+    return predict_features(model, map(_features, corpus.sentences()))
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +224,25 @@ def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
 #   end
 
 def save_model(model: TaggerModel, path) -> None:
-    rows = []
-    for feat in sorted(model.weights):
-        for lbl in sorted(model.weights[feat]):
-            rows.append(f"{feat}\t{lbl}\t{model.weights[feat][lbl]!r}\n")
+    rows = [f"{feat}\t{lbl}\t{w!r}\n" for feat, d in sorted(model.weights.items())
+            for lbl, w in sorted(d.items())]
     meta = model.training_meta
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} "
-                f"{model.feature_template_version}\n")
-        f.write("labels " + "\t".join(model.label_set) + "\n")
-        f.write(f"meta epochs={meta.get('epochs', 0)} "
-                f"seed={meta.get('seed', 0)} "
-                f"corpus_fingerprint={meta.get('corpus_fingerprint', '')}\n")
-        f.write(f"nweights {len(rows)}\n")
-        f.writelines(rows)
-        f.write("end\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"  # replaces path once written
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} "
+                    f"{model.feature_template_version}\n")
+            f.write("labels " + "\t".join(model.label_set) + "\n")
+            f.write(f"meta epochs={meta.get('epochs', 0)} "
+                    f"seed={meta.get('seed', 0)} "
+                    f"corpus_fingerprint={meta.get('corpus_fingerprint', '')}\n")
+            f.write(f"nweights {len(rows)}\n")
+            f.writelines(rows)
+            f.write("end\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_model(path) -> TaggerModel:
@@ -267,6 +263,8 @@ def load_model(path) -> TaggerModel:
         if not lines[1].startswith("labels "):
             raise ModelFormatError("missing label table")
         label_set = lines[1][len("labels "):].split("\t")
+        for lbl in label_set:
+            Label.parse(lbl)  # ValueError on a malformed label
         if not lines[2].startswith("meta "):
             raise ModelFormatError("missing meta line")
         meta = {}

@@ -157,6 +157,16 @@ class TestAugmentCommand:
              "--seed", "9", "--jobs", "4"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, small_conll, tmp_path,
+                                           capsys, jobs):
+        out = tmp_path / "aug.conll"
+        assert run(["augment", "--in", str(small_conll), "--out", str(out),
+                    "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_dry_run_writes_nothing(self, small_conll, tmp_path, capsys):
         out = tmp_path / "aug.conll"
         assert run(["augment", "--in", str(small_conll), "--out", str(out),
@@ -252,6 +262,25 @@ class TestExperimentCommands:
         out = capsys.readouterr().out
         assert "baseline" in out and "phicon" in out
         assert records.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["xeval", "--test", "{b}"], ["ablate", "--test", "{b}"],
+        ["sweep", "--dev", "{b}"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, two_sites, capsys, argv,
+                                           jobs):
+        a, b = two_sites
+        argv = [arg.format(b=b) for arg in argv]
+        assert run(argv + ["--train", str(a), "--seeds", "1", "--epochs", "1",
+                           "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "Traceback" not in err
+
+    def test_xeval_duplicate_arm_is_domain_error(self, two_sites, capsys):
+        a, b = two_sites
+        assert run(["xeval", "--train", str(a), "--test", str(b),
+                    "--arms", "baseline,baseline", "--seeds", "1"]) == 1
+        assert "unique" in capsys.readouterr().err
 
     def test_xeval_unknown_arm(self, two_sites):
         a, b = two_sites

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +8,13 @@ import phicon
 from phicon.augment import AugmentConfig
 from phicon.corpus import Corpus, Document, Label
 from phicon.errors import PhiconError
+from phicon import evaluate, tagger
 from phicon.evaluate import (
     ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
     ablation_run, experiment_records, format_eval_report,
     format_experiment_table, _subsample,
 )
+from phicon.rng import derive_seed
 from tests.conftest import sent
 
 COARSE_LABELS = ["O", "B-NAME", "I-NAME", "B-LOCATION", "I-LOCATION",
@@ -163,6 +166,38 @@ class TestCrossDatasetEval:
                                arms, jobs=4, **args)
         assert a == b
 
+    def test_shared_test_features_match_per_run_prediction(
+            self, site_splits, builtin_registry_s, builtin_provider_s):
+        # The test corpus is featurized once and read by every (seed, arm)
+        # run, also from --jobs threads; scores must equal those of a
+        # fresh predict_corpus per run.
+        train, test = site_splits["train_a"], site_splits["dev_b"]
+        args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
+                    registry=builtin_registry_s, provider=builtin_provider_s)
+        arms = [("baseline", None), ("phicon", AugmentConfig(alpha=1)),
+                ("other", None)]
+        serial = cross_dataset_eval(train, test, arms, jobs=1, **args)
+        threaded = cross_dataset_eval(train, test, arms, jobs=4, **args)
+        assert serial == threaded
+        for s in (1, 2):
+            sub = _subsample(train, 0.2, derive_seed(evaluate._SUBSAMPLE_SALT, s))
+            model = tagger.train(sub, epochs=2,
+                                 seed=derive_seed(evaluate._TAGGER_SALT, s))
+            expected = binary_token_f1(
+                test, tagger.predict_corpus(model, test)).micro_f1
+            assert serial.arms["baseline"][s - 1] == expected
+            assert serial.arms["other"][s - 1] == expected
+
+    def test_duplicate_arm_names_rejected_before_training(
+            self, site_splits, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the arms")
+        monkeypatch.setattr(tagger, "train", no_training)
+        with pytest.raises(PhiconError, match="unique"):
+            cross_dataset_eval(site_splits["train_a"], site_splits["dev_b"],
+                               [("baseline", None), ("baseline", None)],
+                               n_seeds=2)
+
     def test_augment_arm_requires_lexicons(self, site_splits):
         with pytest.raises(PhiconError):
             cross_dataset_eval(
@@ -192,6 +227,19 @@ class TestAlphaSweep:
             site_splits["train_a"], site_splits["dev_a"],
             [("alpha=0", None)], n_seeds=2, epochs=2)
         assert sweep[0] == baseline.means["alpha=0"]
+
+    def test_matches_one_experiment_per_alpha(
+            self, site_splits, builtin_registry_s, builtin_provider_s):
+        args = dict(n_seeds=1, epochs=1, registry=builtin_registry_s,
+                    provider=builtin_provider_s)
+        base = AugmentConfig(master_seed=4)
+        sweep = alpha_sweep(site_splits["train_a"], site_splits["dev_b"],
+                            [1, 0], base, **args)
+        for a in (1, 0):
+            arm = (f"alpha={a}", replace(base, alpha=a) if a else None)
+            result = cross_dataset_eval(
+                site_splits["train_a"], site_splits["dev_b"], [arm], **args)
+            assert sweep[a] == result.means[f"alpha={a}"]
 
     def test_empty_alphas_rejected(self, site_splits):
         with pytest.raises(PhiconError):

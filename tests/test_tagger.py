@@ -1,12 +1,16 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import phicon
 from phicon.corpus import Corpus, Document, Label, validate_bio
 from phicon.errors import ModelFormatError, PhiconError
+from phicon.rng import RandomStream, derive_seed
 from phicon.tagger import (
-    FEATURE_TEMPLATE_VERSION, corpus_fingerprint, featurize,
-    load_model, predict, predict_corpus, save_model, train,
+    FEATURE_TEMPLATE_VERSION, TaggerModel, corpus_fingerprint, featurize,
+    featurize_sentences, load_model, predict, predict_corpus, predict_features,
+    save_model, train,
 )
 from tests.conftest import FIG_SENTENCE, sent
 
@@ -196,3 +200,197 @@ class TestModelFile:
         path.write_text("".join(lines[:len(lines) // 2]))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_bad_label_rejected(self, tmp_path):
+        model = train(_train_corpus(), epochs=1, seed=0)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        path.write_text(path.read_text().replace("\tB-Date", "\tX-Date", 1))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+class _FailingMeta(dict):
+    """training_meta whose epochs cannot be formatted: save_model fails
+    after it has written the header."""
+
+    def get(self, key, default=None):
+        if key == "epochs":
+            raise OSError("disk full")
+        return super().get(key, default)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_old_model(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(train(_train_corpus(), epochs=1, seed=0), path)
+        before = path.read_bytes()
+        model = train(_train_corpus(), epochs=2, seed=1)
+        model.training_meta = _FailingMeta(model.training_meta)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.txt"]
+
+    def test_overwrite_leaves_one_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(train(_train_corpus(), epochs=1, seed=0), path)
+        model = train(_train_corpus(), epochs=2, seed=1)
+        save_model(model, path)
+        assert os.listdir(tmp_path) == ["model.txt"]
+        assert load_model(path).weights == model.weights
+
+
+# ---------------------------------------------------------------------------
+# The dict-based tagger core that dense label rows replaced, kept as the
+# reference the fast path must reproduce exactly.
+
+def _ref_label_kinds(label_set):
+    return [("O", None) if lbl == "O" else (lbl[0], lbl[2:])
+            for lbl in label_set]
+
+
+def _ref_score_and_pick(weights, label_set, label_types, feats, prev_type):
+    best = None
+    best_score = None
+    scores = {}
+    for f in feats:
+        d = weights.get(f)
+        if d:
+            for lbl, w in d.items():
+                scores[lbl] = scores.get(lbl, 0.0) + w
+    for i, lbl in enumerate(label_set):
+        if label_types[i][0] == "I" and label_types[i][1] != prev_type:
+            continue
+        s = scores.get(lbl, 0.0)
+        if best_score is None or s > best_score:
+            best = lbl
+            best_score = s
+    return best
+
+
+def _ref_train(corpus, epochs, seed):
+    sentences = [s for s in corpus.sentences() if len(s) > 0]
+    label_set = ["O"]
+    for s in sentences:
+        for tok in s.tokens:
+            if str(tok.label) not in label_set:
+                label_set.append(str(tok.label))
+    label_types = _ref_label_kinds(label_set)
+    data = [([featurize(s, i) for i in range(len(s))],
+             [str(t.label) for t in s.tokens]) for s in sentences]
+    weights, totals, stamps = {}, {}, {}
+    step = 0
+
+    def bump(feat, lbl, delta):
+        key = (feat, lbl)
+        d = weights.setdefault(feat, {})
+        w = d.get(lbl, 0.0)
+        totals[key] = totals.get(key, 0.0) + (step - stamps.get(key, 0)) * w
+        stamps[key] = step
+        d[lbl] = w + delta
+
+    order = list(range(len(data)))
+    for epoch in range(epochs):
+        RandomStream(derive_seed(seed, epoch)).shuffle(order)
+        for si in order:
+            feats, golds = data[si]
+            prev_type = None
+            for fs, gold in zip(feats, golds):
+                step += 1
+                pred = _ref_score_and_pick(weights, label_set, label_types,
+                                           fs, prev_type)
+                if pred != gold:
+                    for f in fs:
+                        bump(f, gold, 1.0)
+                        bump(f, pred, -1.0)
+                prev_type = pred[2:] if pred != "O" else None
+    averaged = {}
+    for feat, d in weights.items():
+        avg = {}
+        for lbl, w in d.items():
+            key = (feat, lbl)
+            total = totals.get(key, 0.0) + (step - stamps.get(key, 0)) * w
+            if total / step:
+                avg[lbl] = total / step
+        if avg:
+            averaged[feat] = avg
+    return TaggerModel(averaged, label_set, FEATURE_TEMPLATE_VERSION, {
+        "epochs": epochs, "seed": seed,
+        "corpus_fingerprint": corpus_fingerprint(corpus)})
+
+
+def _ref_predict(model, sentence):
+    label_types = _ref_label_kinds(model.label_set)
+    out = []
+    prev_type = None
+    for i in range(len(sentence)):
+        pred = _ref_score_and_pick(model.weights, model.label_set,
+                                   label_types, featurize(sentence, i),
+                                   prev_type)
+        out.append(Label.parse(pred))
+        prev_type = pred[2:] if pred != "O" else None
+    return out
+
+
+@pytest.fixture(scope="module")
+def fixture_corpora():
+    """(train, test) pairs: small fine-labelled SiteA/SiteB corpora and
+    their coarse mappings."""
+    profile_a, profile_b = phicon.builtin_profiles()
+    fine_a = phicon.generate_corpus(profile_a, 12, (8, 15), seed=11)
+    fine_b = phicon.generate_corpus(profile_b, 12, (8, 15), seed=22)
+    return {"fine": (fine_a, fine_b),
+            "coarse": (phicon.map_to_coarse(fine_a),
+                       phicon.map_to_coarse(fine_b))}
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("labels", ["fine", "coarse"])
+    def test_train_save_predict_identical(self, fixture_corpora, labels,
+                                          tmp_path):
+        train_c, test_c = fixture_corpora[labels]
+        ref = _ref_train(train_c, epochs=3, seed=4)
+        model = train(train_c, epochs=3, seed=4)
+        assert model.weights == ref.weights
+        assert model.label_set == ref.label_set
+        assert model.training_meta == ref.training_meta
+        save_model(ref, tmp_path / "ref.txt")
+        save_model(model, tmp_path / "model.txt")
+        assert (tmp_path / "model.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
+        expected = [_ref_predict(ref, s) for s in test_c.sentences()]
+        assert predict_corpus(model, test_c) == expected
+        feats = featurize_sentences(test_c.sentences())
+        assert predict_features(model, feats) == expected
+
+    def test_tutorial_corpus_identical(self):
+        corpus = _train_corpus()
+        ref = _ref_train(corpus, epochs=6, seed=2)
+        model = train(corpus, epochs=6, seed=2)
+        assert model.weights == ref.weights
+        s = sent(("Totally", "O"), ("unseen", "O"), ("Smith", "O"))
+        assert predict(model, s) == _ref_predict(ref, s)
+
+    def test_no_weighted_feature_picks_outside(self):
+        # Every score is 0, so the earliest allowed label, Outside, wins;
+        # Inside labels are masked at the sentence start.
+        model = TaggerModel({"w=smith": {"B-Doctor": 1.5, "I-Doctor": 2.0}},
+                            ["I-Doctor", "O", "B-Doctor"],
+                            FEATURE_TEMPLATE_VERSION, {})
+        s = sent(("Totally", "O"), ("unseen", "O"))
+        assert predict(model, s) == _ref_predict(model, s) == [
+            Label.parse("O"), Label.parse("O")]
+
+
+class TestSharedFeatures:
+    def test_featurize_sentences_matches_featurize(self, fixture_corpora):
+        corpus = fixture_corpora["fine"][1]
+        feats = featurize_sentences(corpus.sentences())
+        assert feats == [[featurize(s, i) for i in range(len(s))]
+                         for s in corpus.sentences()]
+
+    def test_equal_features_are_one_object(self, fixture_corpora):
+        feats = featurize_sentences(fixture_corpora["fine"][1].sentences())
+        bias = {id(fs[0]) for sent_feats in feats for fs in sent_feats}
+        assert len(bias) == 1
