@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .corpus import (
-    BEGIN, INSIDE, O, Corpus, Document, Label, Sentence, Token,
+    BEGIN, INSIDE, O, Corpus, Document, Label, Sentence, Token, atomic_open,
     extract_entities, validate_bio,
 )
 from .errors import BioViolationError, LexiconError
@@ -264,40 +264,29 @@ def _augment_document(doc: Document, doc_index: int, run: int,
 
 
 def augment_corpus(corpus: Corpus, registry: LexiconRegistry,
-                   provider: SynonymProvider, config: AugmentConfig,
-                   jobs: int = 1) -> tuple[Corpus, list[AugmentRecord]]:
+                   provider: SynonymProvider, config: AugmentConfig
+                   ) -> tuple[Corpus, list[AugmentRecord]]:
     """D_new = D + alpha augmented copies of D's PHI-bearing sentences.
 
     Original documents come first, unchanged; augmented copies follow in
     run-major order with ids `<orig>#aug<run>`. Per-sentence seeds are
     derived from (master_seed, run, doc index, sentence index), so output
-    is byte-identical regardless of jobs.
+    is byte-identical across reruns.
     """
-    tasks = [(doc, di, run)
-             for run in range(1, config.alpha + 1)
-             for di, doc in enumerate(corpus.documents)]
-    if jobs > 1 and tasks:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda t: _augment_document(
-                    t[0], t[1], t[2], registry, provider, config),
-                tasks))
-    else:
-        results = [
-            _augment_document(doc, di, run, registry, provider, config)
-            for doc, di, run in tasks]
     documents = list(corpus.documents)
     records: list[AugmentRecord] = []
-    for new_doc, recs in results:
-        if new_doc is not None:
-            documents.append(new_doc)
-        records.extend(recs)
+    for run in range(1, config.alpha + 1):
+        for di, doc in enumerate(corpus.documents):
+            new_doc, recs = _augment_document(
+                doc, di, run, registry, provider, config)
+            if new_doc is not None:
+                documents.append(new_doc)
+            records.extend(recs)
     return Corpus(tuple(documents), corpus.taxonomy), records
 
 
 def write_records(records, path) -> None:
     """Line-delimited JSON audit log, one AugmentRecord per line."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for rec in records:
             f.write(rec.to_json_line() + "\n")

@@ -42,14 +42,20 @@ def builtin_provider() -> SynonymProvider:
 
 
 def builtin_registry(seed: int = 0,
-                     counts: dict | None = None) -> LexiconRegistry:
-    """Registry over the bundled curated pools plus generated identifiers."""
-    counts = dict(DEFAULT_BUILTIN_COUNTS, **(counts or {}))
-    by_fine = {}
+                     lexicons: dict | None = None) -> LexiconRegistry:
+    """Registry over the bundled curated pools plus generated identifiers.
+
+    lexicons: {fine type: Lexicon}; each entry replaces the bundled or
+    generated pool of its type, which is then neither loaded nor generated.
+    """
+    by_fine = dict.fromkeys((*_POOL_FILES, *DEFAULT_GENERATOR_SPECS))
+    by_fine.update(lexicons or {})
     for phi_type, filename in _POOL_FILES.items():
-        with resources.as_file(_data_path(filename)) as path:
-            by_fine[phi_type] = load_lexicon(path, phi_type)
+        if by_fine[phi_type] is None:
+            with resources.as_file(_data_path(filename)) as path:
+                by_fine[phi_type] = load_lexicon(path, phi_type)
     for phi_type, spec in DEFAULT_GENERATOR_SPECS.items():
-        by_fine[phi_type] = generate_identifiers(
-            spec, counts[phi_type], seed)
+        if by_fine[phi_type] is None:
+            by_fine[phi_type] = generate_identifiers(
+                spec, DEFAULT_BUILTIN_COUNTS[phi_type], seed)
     return LexiconRegistry(by_fine)

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .augment import AugmentConfig, augment_corpus, write_records
 from .builtin import builtin_provider, builtin_registry
 from .corpus import (
-    corpus_stats, map_to_coarse, read_conll, split_corpus, write_conll,
+    atomic_open, corpus_stats, map_to_coarse, read_conll, split_corpus,
+    write_conll,
 )
 from .errors import PhiconError
 from .evaluate import (
-    ablation_run, alpha_sweep, binary_token_f1, cross_dataset_eval,
-    experiment_records, format_eval_report, format_experiment_table,
+    ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
+    experiment_arms, experiment_records, format_eval_report,
+    format_experiment_table,
 )
 from .lexicon import (
     DEFAULT_GENERATED_COUNTS, DEFAULT_GENERATOR_SPECS, GeneratorSpec,
@@ -50,8 +52,7 @@ def load_config(path) -> dict:
     Pattern lists are newline-separated inside a key.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path, encoding="utf-8"):
         raise PhiconError(f"config file not found: {path}")
     out: dict = {"generators": {}}
     for section in cp.sections():
@@ -81,65 +82,90 @@ def load_config(path) -> dict:
     return out
 
 
-def _augment_config(args, config) -> AugmentConfig:
-    sec = config.get("augment", {})
+def _arg_type(cast, check, expected: str):
+    """An argparse type: cast the raw value and require check(value)."""
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+            if check(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+    return parse
 
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in sec:
-            raw = sec[key]
-            return raw.lower() in ("1", "true", "yes") if cast is bool else cast(raw)
+
+_ALPHA = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
+_RATE = _arg_type(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_ALPHAS = _arg_type(lambda raw: [int(a) for a in raw.split(",")],
+                    lambda v: min(v) >= 0, "comma-separated integers >= 0")
+_RATIOS = _arg_type(lambda raw: tuple(float(x) for x in raw.split(",")),
+                    lambda v: True, "comma-separated numbers")
+
+
+def _bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+def _setting(flag, config, section: str, key: str, cast, default):
+    """The flag if given, else the cast config value, else the default."""
+    if flag is not None:
+        return flag
+    raw = config.get(section, {}).get(key)
+    if raw is None:
         return default
+    try:
+        return cast(raw)
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        raise PhiconError(f"[{section}] {key}: {e}") from None
+
+
+def _augment_config(args, config) -> AugmentConfig:
+    def pick(key, cast, default):
+        return _setting(getattr(args, key, None), config, "augment", key,
+                        cast, default)
 
     return AugmentConfig(
-        alpha=pick(args.alpha, "alpha", int, 2),
-        sr_rate=pick(getattr(args, "sr_rate", None), "sr_rate", float, 0.1),
-        ri_rate=pick(getattr(args, "ri_rate", None), "ri_rate", float, 0.05),
-        enable_phi=pick(getattr(args, "enable_phi", None), "enable_phi", bool, True),
-        enable_sr=pick(getattr(args, "enable_sr", None), "enable_sr", bool, True),
-        enable_ri=pick(getattr(args, "enable_ri", None), "enable_ri", bool, True),
-        master_seed=pick(args.seed, "seed", int, 0),
-        drop_unchanged=pick(None, "drop_unchanged", bool, True),
-        keep_context_sentences=pick(None, "keep_context_sentences", bool, False),
+        alpha=pick("alpha", _ALPHA, 2),
+        sr_rate=pick("sr_rate", _RATE, 0.1),
+        ri_rate=pick("ri_rate", _RATE, 0.05),
+        enable_phi=pick("enable_phi", _bool, True),
+        enable_sr=pick("enable_sr", _bool, True),
+        enable_ri=pick("enable_ri", _bool, True),
+        master_seed=pick("seed", int, 0),
+        drop_unchanged=pick("drop_unchanged", _bool, True),
+        keep_context_sentences=pick("keep_context_sentences", _bool, False),
     )
 
 
 def _build_registry(args, config) -> LexiconRegistry:
-    paths = config.get("paths", {})
-    lexicon_dir = getattr(args, "lexicon_dir", None) or paths.get("lexicon_dir")
-    gen_overrides = {}
-    counts = {}
+    """The builtin registry with the configured pools swapped in. Per PHI
+    type the first of these wins: a [generator.<Type>] patterns section, a
+    <Type>.txt in the lexicon dir, a count-only section, the builtin pool."""
+    seed = args.seed or 0
+    lexicon_dir = args.lexicon_dir or config.get("paths", {}).get("lexicon_dir")
+    lexicons = {}
+    if lexicon_dir is not None:
+        for name in sorted(os.listdir(lexicon_dir)):
+            if name.endswith(".txt"):
+                lexicons[name[:-4]] = load_lexicon(
+                    os.path.join(lexicon_dir, name), name[:-4])
     for phi_type, g in config.get("generators", {}).items():
         if g["patterns"]:
-            gen_overrides[phi_type] = GeneratorSpec(
-                phi_type, g["patterns"],
-                g["weights"] or (1.0,) * len(g["patterns"]))
-        if g["count"]:
-            counts[phi_type] = g["count"]
-    if lexicon_dir is None and not gen_overrides:
-        return builtin_registry(seed=getattr(args, "seed", 0) or 0)
-    registry = builtin_registry(seed=getattr(args, "seed", 0) or 0,
-                                counts=counts or None)
-    by_fine = dict(registry.by_fine)
-    if lexicon_dir is not None:
-        import os
-        for name in sorted(os.listdir(lexicon_dir)):
-            if not name.endswith(".txt"):
-                continue
-            phi_type = name[:-4]
-            by_fine[phi_type] = load_lexicon(
-                os.path.join(lexicon_dir, name), phi_type)
-    for phi_type, spec in gen_overrides.items():
-        seed = config["generators"][phi_type]["seed"]
-        count = counts.get(phi_type, 2000)
-        by_fine[phi_type] = generate_identifiers(spec, count, seed)
-    return LexiconRegistry(by_fine)
+            spec = GeneratorSpec(phi_type, g["patterns"],
+                                 g["weights"] or (1.0,) * len(g["patterns"]))
+            lexicons[phi_type] = generate_identifiers(
+                spec, g["count"] or 2000, g["seed"])
+        elif (g["count"] and phi_type in DEFAULT_GENERATOR_SPECS
+              and phi_type not in lexicons):
+            lexicons[phi_type] = generate_identifiers(
+                DEFAULT_GENERATOR_SPECS[phi_type], g["count"], seed)
+    return builtin_registry(seed=seed, lexicons=lexicons)
 
 
 def _build_provider(args, config):
     paths = config.get("paths", {})
-    source = getattr(args, "synonyms", None) or paths.get("synonyms", "builtin")
+    source = args.synonyms or paths.get("synonyms", "builtin")
     if source == "builtin":
         return builtin_provider()
     if source.startswith("wndb:"):
@@ -166,8 +192,7 @@ def _cmd_augment(args, config):
         _log(f"sentences eligible for augmentation: {eligible}")
         _log(f"expected augmented sentences: <= {cfg.alpha * eligible}")
         return 0
-    out, records = augment_corpus(corpus, registry, provider, cfg,
-                                  jobs=args.jobs)
+    out, records = augment_corpus(corpus, registry, provider, cfg)
     write_conll(out, args.outfile)
     if args.records:
         write_records(records, args.records)
@@ -187,7 +212,7 @@ def _cmd_gen_lexicon(args, config):
         raise PhiconError(f"no generator spec for type {args.type!r}")
     count = args.count or DEFAULT_GENERATED_COUNTS[args.type]
     lexicon = generate_identifiers(spec, count, args.seed)
-    with open(args.outfile, "w", encoding="utf-8") as f:
+    with atomic_open(args.outfile) as f:
         for entry in lexicon.entries:
             f.write(entry + "\n")
     _log(f"wrote {len(lexicon)} {args.type} entries to {args.outfile}")
@@ -209,10 +234,9 @@ def _cmd_synth(args, config):
 
 def _cmd_split(args, config):
     corpus = read_conll(args.infile)
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    if len(ratios) != 3:
+    if len(args.ratios) != 3:
         raise PhiconError("ratios must be three comma-separated numbers")
-    train, dev, test = split_corpus(corpus, ratios, args.seed)
+    train, dev, test = split_corpus(corpus, args.ratios, args.seed)
     for part, name in ((train, "train"), (dev, "dev"), (test, "test")):
         path = f"{args.out_prefix}.{name}.conll"
         write_conll(part, path)
@@ -248,41 +272,28 @@ def _cmd_eval(args, config):
 
 
 def _experiment_args(args, config):
-    sec = config.get("experiment", {})
-    n_seeds = args.seeds if args.seeds is not None else int(sec.get("n_seeds", 5))
-    epochs = args.epochs if args.epochs is not None else int(sec.get("epochs", 5))
+    n_seeds = _setting(args.seeds, config, "experiment", "n_seeds", int, 5)
+    epochs = _setting(args.epochs, config, "experiment", "epochs", int, 5)
     return n_seeds, epochs
 
 
 def _cmd_xeval(args, config):
+    """xeval, and ablate (xeval with the four ABLATION_ARMS)."""
     train_c = read_conll(args.train)
     test_c = read_conll(args.test)
     cfg = _augment_config(args, config)
     n_seeds, epochs = _experiment_args(args, config)
-    arm_names = args.arms.split(",")
-    arms = []
-    for name in arm_names:
-        if name == "baseline":
-            arms.append((name, None))
-        elif name == "phicon":
-            arms.append((name, cfg))
-        elif name == "phi_only":
-            arms.append((name, replace(cfg, enable_sr=False, enable_ri=False)))
-        elif name == "context_only":
-            arms.append((name, replace(cfg, enable_phi=False)))
-        else:
-            raise PhiconError(f"unknown arm {name!r}")
+    arms = experiment_arms(args.arms.split(","), cfg)
     needs_aug = any(c is not None for _, c in arms)
     registry = _build_registry(args, config) if needs_aug else None
     provider = _build_provider(args, config) if needs_aug else None
     result = cross_dataset_eval(
         train_c, test_c, arms, train_fraction=args.fraction,
         n_seeds=n_seeds, epochs=epochs, registry=registry,
-        provider=provider, setting=f"{args.train}->{args.test}",
-        jobs=args.jobs)
+        provider=provider, setting=f"{args.train}->{args.test}")
     print(format_experiment_table(result), end="")
     if args.records:
-        with open(args.records, "w", encoding="utf-8") as f:
+        with atomic_open(args.records) as f:
             f.write("\n".join(experiment_records(result)) + "\n")
     return 0
 
@@ -292,42 +303,25 @@ def _cmd_sweep(args, config):
     dev_c = read_conll(args.dev)
     cfg = _augment_config(args, config)
     n_seeds, epochs = _experiment_args(args, config)
-    sec = config.get("experiment", {})
-    raw = args.alphas or sec.get("alphas", "1,2,3,4")
-    alphas = [int(a) for a in raw.split(",")]
+    alphas = _setting(args.alphas, config, "experiment", "alphas", _ALPHAS,
+                      [1, 2, 3, 4])
     registry = _build_registry(args, config)
     provider = _build_provider(args, config)
     curve = alpha_sweep(train_c, dev_c, alphas, cfg, n_seeds=n_seeds,
                         epochs=epochs, registry=registry, provider=provider,
-                        setting=f"{args.train}->{args.dev}", jobs=args.jobs)
+                        setting=f"{args.train}->{args.dev}")
     print("alpha  mean_micro_f1")
     for a, score in curve.items():
         print(f"{a:<6} {score:.4f}")
     return 0
 
 
-def _cmd_ablate(args, config):
-    train_c = read_conll(args.train)
-    test_c = read_conll(args.test)
-    cfg = _augment_config(args, config)
-    n_seeds, epochs = _experiment_args(args, config)
-    registry = _build_registry(args, config)
-    provider = _build_provider(args, config)
-    result = ablation_run(train_c, test_c, cfg, n_seeds=n_seeds,
-                          epochs=epochs, registry=registry, provider=provider,
-                          train_fraction=args.fraction,
-                          setting=f"{args.train}->{args.test}", jobs=args.jobs)
-    print(format_experiment_table(result), end="")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def _add_augment_flags(p):
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--sr-rate", dest="sr_rate", type=float, default=None)
-    p.add_argument("--ri-rate", dest="ri_rate", type=float, default=None)
+    p.add_argument("--alpha", type=_ALPHA, default=None)
+    p.add_argument("--sr-rate", dest="sr_rate", type=_RATE, default=None)
+    p.add_argument("--ri-rate", dest="ri_rate", type=_RATE, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lexicon-dir", dest="lexicon_dir", default=None)
     p.add_argument("--synonyms", default=None,
@@ -373,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="note-level train/dev/test split")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
-    p.add_argument("--ratios", default="0.7,0.1,0.2")
+    p.add_argument("--ratios", type=_RATIOS, default=(0.7, 0.1, 0.2))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_split)
 
@@ -401,16 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "xeval":
             p.add_argument("--arms", default="baseline,phicon")
             p.add_argument("--records", default=None)
+        else:
+            p.set_defaults(arms=",".join(ABLATION_ARMS), records=None)
         p.add_argument("--fraction", type=float, default=1.0)
         p.add_argument("--seeds", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         _add_augment_flags(p)
-        p.set_defaults(func=_cmd_xeval if name == "xeval" else _cmd_ablate)
+        p.set_defaults(func=_cmd_xeval)
 
     p = sub.add_parser("sweep", help="augmentation-factor sweep on a dev set")
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
-    p.add_argument("--alphas", default=None, help="e.g. 1,2,3,4")
+    p.add_argument("--alphas", type=_ALPHAS, default=None, help="e.g. 1,2,3,4")
     p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     _add_augment_flags(p)
@@ -423,18 +419,14 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
         config = load_config(args.config) if args.config else {}
         return args.func(args, config)
-    except PhiconError as e:
-        _log(f"error: {e}")
-        return 1
-    except (OSError, FileNotFoundError) as e:
-        _log(f"error: {e}")
+    # ValueError: a value the library rejects, e.g. from a config file
+    except (PhiconError, OSError, ValueError, configparser.Error) as e:
+        _log("error: " + " ".join(str(e).split()))  # always one line
         return 1
 
 

@@ -8,6 +8,8 @@ space also accepted on input), blank line between sentences, and a
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import BioViolationError, ParseError, PhiconError
@@ -262,11 +264,29 @@ def serialize_conll(corpus: Corpus) -> str:
 def read_conll(path, taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY,
                repair: bool = False) -> Corpus:
     with open(path, encoding="utf-8") as f:
-        return parse_conll(f.read(), taxonomy, repair=repair, source=str(path))
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text: {e}", str(path)) from None
+    return parse_conll(text, taxonomy, repair=repair, source=str(path))
+
+
+@contextmanager
+def atomic_open(path):
+    """Open a UTF-8 text file for writing that replaces `path` only once the
+    block completes; on any failure the old file stays and no temp is left."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_conll(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(serialize_conll(corpus))
 
 

@@ -126,8 +126,7 @@ def _subsample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
 def cross_dataset_eval(train: Corpus, test: Corpus, arms,
                        train_fraction: float = 1.0, n_seeds: int = 5,
                        epochs: int = 5, registry=None, provider=None,
-                       setting: str = "train->test",
-                       jobs: int = 1) -> ExperimentResult:
+                       setting: str = "train->test") -> ExperimentResult:
     """Train-on-one-corpus, test-on-the-other protocol.
 
     arms: list of (name, AugmentConfig | None); None means no augmentation.
@@ -145,13 +144,13 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
     if len(per_arm) != len(arms):
         raise PhiconError("arm names must be unique")
     alpha = next((cfg.alpha for _, cfg in arms if cfg is not None), 0)
-    # Featurized once and only read afterwards, so --jobs threads share it.
+    # Featurized once and only read afterwards by every (seed, arm) run.
     test_feats = tagger.featurize_sentences(test.sentences())
 
-    def run_one(seed_index: int, name: str, cfg) -> float:
-        subsample = _subsample(train, train_fraction,
-                               derive_seed(_SUBSAMPLE_SALT, seed_index))
-        corpus = subsample
+    def run_one(seed_index: int, cfg) -> float:
+        # A function, so each run's corpus and model are freed on return.
+        corpus = _subsample(train, train_fraction,
+                            derive_seed(_SUBSAMPLE_SALT, seed_index))
         if cfg is not None:
             aug_cfg = replace(cfg, master_seed=derive_seed(
                 cfg.master_seed, seed_index))
@@ -161,25 +160,43 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
         return binary_token_f1(
             test, tagger.predict_features(model, test_feats)).micro_f1
 
-    tasks = [(s, name, cfg) for s in range(1, n_seeds + 1)
-             for name, cfg in arms]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(lambda t: run_one(*t), tasks))
-    else:
-        scores = [run_one(*t) for t in tasks]
-    for (s, name, cfg), score in zip(tasks, scores):
-        per_arm[name].append(score)
+    for s in range(1, n_seeds + 1):
+        for name, cfg in arms:
+            per_arm[name].append(run_one(s, cfg))
 
     means = {name: sum(v) / len(v) for name, v in per_arm.items()}
     return ExperimentResult(setting, train_fraction, alpha, per_arm, means)
 
 
+# Arm name -> its config from the base config. An arm switches off the
+# components it does not use and keeps every other base setting; None is
+# no augmentation.
+ARMS = {
+    "baseline": lambda base: None,
+    "phi_only": lambda base: replace(base, enable_sr=False, enable_ri=False),
+    "context_only": lambda base: replace(base, enable_phi=False),
+    "phicon": lambda base: base,
+}
+ABLATION_ARMS = tuple(ARMS)
+
+
+def experiment_arms(names, base_config: AugmentConfig) -> list:
+    """The (name, AugmentConfig | None) arm list for names from ARMS.
+
+    A base config with alpha 0 augments nothing, so every arm is None.
+    """
+    arms = []
+    for name in names:
+        if name not in ARMS:
+            raise PhiconError(f"unknown arm {name!r}")
+        arms.append((name, ARMS[name](base_config) if base_config.alpha
+                     else None))
+    return arms
+
+
 def alpha_sweep(train: Corpus, dev: Corpus, alphas, base_config: AugmentConfig,
                 n_seeds: int = 5, epochs: int = 5, registry=None,
-                provider=None, setting: str = "train->dev",
-                jobs: int = 1) -> dict[int, float]:
+                provider=None, setting: str = "train->dev") -> dict[int, float]:
     """Mean dev-set micro-F1 for each augmentation factor."""
     if not alphas:
         raise PhiconError("alphas must be non-empty")
@@ -191,38 +208,24 @@ def alpha_sweep(train: Corpus, dev: Corpus, alphas, base_config: AugmentConfig,
             warnings.warn(f"duplicate alpha {a} dropped", stacklevel=2)
         else:
             uniq.append(a)
-    # One experiment, an arm per alpha: they share subsamples and features.
+    # One experiment, a phicon arm per alpha: shared subsamples and features.
+    arms = [(f"alpha={a}", cfg) for a in uniq for _, cfg in
+            experiment_arms(["phicon"], replace(base_config, alpha=a))]
     result = cross_dataset_eval(
-        train, dev, [(f"alpha={a}", replace(base_config, alpha=a) if a else None)
-                     for a in uniq], train_fraction=1.0, n_seeds=n_seeds,
-        epochs=epochs, registry=registry, provider=provider, setting=setting,
-        jobs=jobs)
+        train, dev, arms, train_fraction=1.0, n_seeds=n_seeds, epochs=epochs,
+        registry=registry, provider=provider, setting=setting)
     return {a: result.means[f"alpha={a}"] for a in uniq}
-
-
-ABLATION_ARMS = ("baseline", "phi_only", "context_only", "phicon")
 
 
 def ablation_run(train: Corpus, test: Corpus, base_config: AugmentConfig,
                  n_seeds: int = 5, epochs: int = 5, registry=None,
                  provider=None, train_fraction: float = 1.0,
-                 setting: str = "train->test", jobs: int = 1) -> ExperimentResult:
+                 setting: str = "train->test") -> ExperimentResult:
     """Four paired arms: baseline, PHI only, context only, full method."""
-    arms = [
-        ("baseline", None),
-        ("phi_only", replace(base_config, enable_phi=True,
-                             enable_sr=False, enable_ri=False)),
-        ("context_only", replace(base_config, enable_phi=False,
-                                 enable_sr=True, enable_ri=True)),
-        ("phicon", replace(base_config, enable_phi=True,
-                           enable_sr=True, enable_ri=True)),
-    ]
-    if base_config.alpha == 0:
-        arms = [(name, None) for name, _ in arms]
     return cross_dataset_eval(
-        train, test, arms, train_fraction=train_fraction, n_seeds=n_seeds,
-        epochs=epochs, registry=registry, provider=provider,
-        setting=setting, jobs=jobs)
+        train, test, experiment_arms(ABLATION_ARMS, base_config),
+        train_fraction=train_fraction, n_seeds=n_seeds, epochs=epochs,
+        registry=registry, provider=provider, setting=setting)
 
 
 # ---------------------------------------------------------------------------

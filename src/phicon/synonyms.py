@@ -13,7 +13,7 @@ import enum
 import os
 from dataclasses import dataclass, field
 
-from .errors import ParseError, PhiconError
+from .errors import ParseError
 
 
 class PosTag(enum.Enum):
@@ -219,11 +219,3 @@ def lookup_pos(provider: SynonymProvider, word: str) -> frozenset:
         return frozenset()
     return provider.pos_index.get(w, frozenset())
 
-
-def load_stopwords(path) -> frozenset:
-    """Alternative stopword list, one word per line, case-folded."""
-    with open(path, encoding="utf-8") as f:
-        words = {line.strip().lower() for line in f if line.strip()}
-    if not words:
-        raise PhiconError(f"stopword file {path} is empty")
-    return frozenset(words)

@@ -11,10 +11,11 @@ construction.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 
-from .corpus import Corpus, Label, Sentence, serialize_conll, validate_bio
+from .corpus import (
+    Corpus, Label, Sentence, atomic_open, serialize_conll, validate_bio,
+)
 from .errors import ModelFormatError, PhiconError
 from .rng import RandomStream, derive_seed
 
@@ -227,22 +228,16 @@ def save_model(model: TaggerModel, path) -> None:
     rows = [f"{feat}\t{lbl}\t{w!r}\n" for feat, d in sorted(model.weights.items())
             for lbl, w in sorted(d.items())]
     meta = model.training_meta
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"  # replaces path once written
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} "
-                    f"{model.feature_template_version}\n")
-            f.write("labels " + "\t".join(model.label_set) + "\n")
-            f.write(f"meta epochs={meta.get('epochs', 0)} "
-                    f"seed={meta.get('seed', 0)} "
-                    f"corpus_fingerprint={meta.get('corpus_fingerprint', '')}\n")
-            f.write(f"nweights {len(rows)}\n")
-            f.writelines(rows)
-            f.write("end\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_open(path) as f:
+        f.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} "
+                f"{model.feature_template_version}\n")
+        f.write("labels " + "\t".join(model.label_set) + "\n")
+        f.write(f"meta epochs={meta.get('epochs', 0)} "
+                f"seed={meta.get('seed', 0)} "
+                f"corpus_fingerprint={meta.get('corpus_fingerprint', '')}\n")
+        f.write(f"nweights {len(rows)}\n")
+        f.writelines(rows)
+        f.write("end\n")
 
 
 def load_model(path) -> TaggerModel:

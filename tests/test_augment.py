@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,11 +203,12 @@ class TestAugmentCorpus:
         assert merged.documents == corpus.documents and records == []
 
     def test_jobs_do_not_change_output(self, fixture_registry, tsv_provider):
+        # augment_corpus is serial; reruns give equal corpora and records.
         corpus = _mini_corpus()
         cfg = AugmentConfig(alpha=3, master_seed=13)
-        a = augment_corpus(corpus, fixture_registry, tsv_provider, cfg, jobs=1)
-        b = augment_corpus(corpus, fixture_registry, tsv_provider, cfg, jobs=4)
-        assert a == b
+        a, b, c = (augment_corpus(corpus, fixture_registry, tsv_provider, cfg)
+                   for _ in range(3))
+        assert a == b == c
 
     def test_runs_differ(self, fixture_registry, tsv_provider):
         corpus = _mini_corpus()
@@ -227,6 +229,22 @@ class TestAugmentCorpus:
             data = json.loads(line)
             assert data["doc_id"] == rec.doc_id
             assert data["run_index"] == rec.run_index
+
+    def test_failed_records_write_keeps_old_file(
+            self, fixture_registry, tsv_provider, tmp_path):
+        _, records = augment_corpus(
+            _mini_corpus(), fixture_registry, tsv_provider,
+            AugmentConfig(master_seed=7))
+        path = tmp_path / "records.jsonl"
+        path.write_text("old\n")
+
+        def failing():
+            yield records[0]
+            raise OSError("disk full")
+        with pytest.raises(OSError, match="disk full"):
+            write_records(failing(), path)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phicon
+from phicon import cli
 from phicon.cli import load_config, run
 from phicon.errors import PhiconError
 from tests.conftest import DATA_DIR
@@ -150,21 +154,26 @@ class TestAugmentCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_jobs_byte_identical(self, small_conll, tmp_path):
-        out1, out2 = tmp_path / "a.conll", tmp_path / "b.conll"
-        run(["augment", "--in", str(small_conll), "--out", str(out1),
-             "--seed", "9", "--jobs", "1"])
-        run(["augment", "--in", str(small_conll), "--out", str(out2),
-             "--seed", "9", "--jobs", "4"])
-        assert out1.read_bytes() == out2.read_bytes()
+        # augment runs serially: three reruns write the same corpus and
+        # the same records.
+        outputs = []
+        for i in range(3):
+            out, records = tmp_path / f"{i}.conll", tmp_path / f"{i}.jsonl"
+            assert run(["augment", "--in", str(small_conll), "--out", str(out),
+                        "--seed", "9", "--records", str(records)]) == 0
+            outputs.append((out.read_bytes(), records.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
     def test_jobs_below_one_is_usage_error(self, small_conll, tmp_path,
                                            capsys, jobs):
+        # There is no --jobs flag: any value is an unrecognised argument.
         out = tmp_path / "aug.conll"
         assert run(["augment", "--in", str(small_conll), "--out", str(out),
                     "--jobs", jobs]) == 2
         err = capsys.readouterr().err
-        assert "--jobs" in err and "Traceback" not in err
+        assert "unrecognized arguments: --jobs" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_dry_run_writes_nothing(self, small_conll, tmp_path, capsys):
@@ -266,15 +275,17 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("argv", [
         ["xeval", "--test", "{b}"], ["ablate", "--test", "{b}"],
         ["sweep", "--dev", "{b}"]])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
     def test_jobs_below_one_is_usage_error(self, two_sites, capsys, argv,
                                            jobs):
+        # There is no --jobs flag: any value is an unrecognised argument.
         a, b = two_sites
         argv = [arg.format(b=b) for arg in argv]
         assert run(argv + ["--train", str(a), "--seeds", "1", "--epochs", "1",
                            "--jobs", jobs]) == 2
         err = capsys.readouterr().err
-        assert "--jobs" in err and "Traceback" not in err
+        assert "unrecognized arguments: --jobs" in err
+        assert "Traceback" not in err
 
     def test_xeval_duplicate_arm_is_domain_error(self, two_sites, capsys):
         a, b = two_sites
@@ -301,3 +312,250 @@ class TestExperimentCommands:
         out = capsys.readouterr().out
         for arm in ("baseline", "phi_only", "context_only", "phicon"):
             assert arm in out
+
+    def test_ablate_is_xeval_with_four_arms(self, two_sites, capsys):
+        a, b = two_sites
+        common = ["--train", str(a), "--test", str(b), "--seeds", "2",
+                  "--epochs", "1", "--alpha", "1", "--fraction", "0.5"]
+        assert run(["ablate"] + common) == 0
+        ablate = capsys.readouterr().out
+        assert run(["xeval", "--arms", "baseline,phi_only,context_only,phicon"]
+                   + common) == 0
+        assert capsys.readouterr().out == ablate
+
+    def test_arm_keeps_disabled_base_component(self, two_sites, tmp_path,
+                                               capsys):
+        # context_only switches PHI off and keeps the config's SR switch
+        # (off here) in ablate as in xeval.
+        a, b = two_sites
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[augment]\nenable_sr = false\n")
+        common = ["--train", str(a), "--test", str(b), "--seeds", "2",
+                  "--epochs", "1", "--alpha", "1"]
+        rows = {}
+        for argv in (["ablate"], ["xeval", "--arms", "context_only"]):
+            assert run(["--config", str(cfg)] + argv + common) == 0
+            rows[argv[0]] = [line for line in capsys.readouterr().out
+                             .splitlines() if line.startswith("context_only")]
+        assert rows["ablate"] == rows["xeval"] and len(rows["xeval"]) == 1
+
+
+class TestExitContract:
+    """Bad flag values are usage errors (exit 2) and bad files domain errors
+    (exit 1); neither ends in a traceback or writes output."""
+
+    @pytest.mark.parametrize("argv,config,code", [
+        (["augment", "--in", "{corpus}", "--out", "{out}", "--alpha", "-1"],
+         None, 2),
+        (["augment", "--in", "{corpus}", "--out", "{out}", "--sr-rate", "2"],
+         None, 2),
+        (["split", "--in", "{corpus}", "--out-prefix", "{out}",
+          "--ratios", "a,b,c"], None, 2),
+        (["sweep", "--train", "{corpus}", "--dev", "{corpus}",
+          "--alphas", "1,x"], None, 2),
+        (["augment", "--in", "{corpus}", "--out", "{out}"],
+         "[augment]\nalpha = two\n", 1),
+        (["augment", "--in", "{corpus}", "--out", "{out}"],
+         "alpha = 2\n", 1),
+        (["augment", "--in", "{latin1}", "--out", "{out}"], None, 1),
+    ], ids=["alpha", "sr-rate", "ratios", "alphas", "config-value",
+            "config-no-section", "non-utf8-input"])
+    def test_bad_value_or_file(self, small_conll, tmp_path, capsys, argv,
+                               config, code):
+        latin1 = tmp_path / "latin1.conll"
+        latin1.write_bytes("#doc id=a\nJos\xe9\tB-NAME\n\n".encode("latin-1"))
+        paths = {"corpus": small_conll, "latin1": latin1,
+                 "out": tmp_path / "out"}
+        argv = [arg.format(**paths) for arg in argv]
+        if config is not None:
+            (tmp_path / "cfg.ini").write_text(config)
+            argv = ["--config", str(tmp_path / "cfg.ini")] + argv
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error:")
+        else:
+            assert "error: argument" in lines[-1]
+        assert sorted(os.listdir(tmp_path)) == before
+
+
+def _ref_build_registry(seed, lexicon_dir, generators):
+    """The two-step registry construction that one builtin_registry call
+    replaced: builtin pools with count-only sizes, then a second registry
+    with lexicon-dir files and pattern generators swapped in."""
+    from importlib import resources
+    from phicon import builtin
+    counts = {t: g["count"] for t, g in generators.items() if g["count"]}
+    sizes = dict(builtin.DEFAULT_BUILTIN_COUNTS, **counts)
+    by_fine = {}
+    for phi_type, filename in builtin._POOL_FILES.items():
+        with resources.as_file(builtin._data_path(filename)) as path:
+            by_fine[phi_type] = phicon.load_lexicon(path, phi_type)
+    for phi_type, spec in phicon.DEFAULT_GENERATOR_SPECS.items():
+        by_fine[phi_type] = phicon.generate_identifiers(
+            spec, sizes[phi_type], seed)
+    for name in sorted(os.listdir(lexicon_dir)):
+        if name.endswith(".txt"):
+            by_fine[name[:-4]] = phicon.load_lexicon(
+                os.path.join(lexicon_dir, name), name[:-4])
+    for phi_type, g in generators.items():
+        if g["patterns"]:
+            spec = phicon.GeneratorSpec(
+                phi_type, g["patterns"],
+                g["weights"] or (1.0,) * len(g["patterns"]))
+            by_fine[phi_type] = phicon.generate_identifiers(
+                spec, counts.get(phi_type, 2000), g["seed"])
+    return phicon.LexiconRegistry(by_fine)
+
+
+class TestBuildRegistry:
+    def _args(self, lexicon_dir=None, seed=4):
+        return cli.build_parser().parse_args(
+            ["augment", "--in", "x", "--out", "y", "--seed", str(seed)]
+            + (["--lexicon-dir", str(lexicon_dir)] if lexicon_dir else []))
+
+    def test_matches_two_step_reference(self, tmp_path):
+        lexdir = tmp_path / "lex"
+        lexdir.mkdir()
+        (lexdir / "Patient.txt").write_text("Zebulon\nQuincy\n")
+        (lexdir / "Zip.txt").write_text("00000\n")   # a pattern section wins
+        (lexdir / "Date.txt").write_text("Yesterday\n")  # beats count-only
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Zip]\npatterns =\n    9\\d{4}\ncount = 300\n"
+                       "[generator.Username]\npatterns =\n    u\\d{4}\n"
+                       "[generator.Phone]\ncount = 50\n"
+                       "[generator.Date]\ncount = 60\n")
+        config = load_config(cfg)
+        registry = cli._build_registry(self._args(lexdir), config)
+        reference = _ref_build_registry(4, lexdir, config["generators"])
+        assert registry.by_fine == reference.by_fine
+        assert list(registry.by_fine) == list(reference.by_fine)
+        assert registry.by_fine["Patient"].entries == ("Zebulon", "Quincy")
+        assert len(registry.by_fine["Zip"]) == 300
+        assert len(registry.by_fine["Phone"]) == 50
+
+    def test_default_is_builtin_registry(self):
+        assert cli._build_registry(self._args(seed=3), {}).by_fine == \
+            phicon.builtin_registry(seed=3).by_fine
+
+    def test_count_only_section_applies_alone(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Phone]\ncount = 50\n")
+        registry = cli._build_registry(self._args(), load_config(cfg))
+        assert registry.by_fine["Phone"] == phicon.generate_identifiers(
+            phicon.DEFAULT_GENERATOR_SPECS["Phone"], 50, 4)
+
+    def test_one_registry_per_build(self, tmp_path, monkeypatch):
+        built = []
+        real = phicon.LexiconRegistry.__post_init__
+        monkeypatch.setattr(phicon.LexiconRegistry, "__post_init__",
+                            lambda self: built.append(real(self)))
+        lexdir = tmp_path / "lex"
+        lexdir.mkdir()
+        (lexdir / "Patient.txt").write_text("Zebulon\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Zip]\npatterns =\n    9\\d{4}\n")
+        cli._build_registry(self._args(lexdir), load_config(cfg))
+        assert len(built) == 1
+
+
+# Random command lines and config files for the fast subcommands: whatever
+# they hold, the exit code is 0, 1 or 2 and nothing raises.
+_TEXT = st.text(alphabet="ab-,. =[]%\\\né", max_size=8)
+_INT = st.integers(-3, 6).map(str)
+_HEADER = st.sampled_from(["[augment]", "[paths]", "[experiment]",
+                           "[generator.Zip]", "[generator.Patient]",
+                           "[generator.Bogus]", "[mystery]", "[augment", ""])
+_CONFIG_LINE = st.one_of(
+    _HEADER,
+    st.builds("{} = {}".format,
+              st.sampled_from(["alpha", "sr_rate", "ri_rate", "seed",
+                               "enable_sr", "drop_unchanged", "count",
+                               "patterns", "weights", "n_seeds", "lexicon_dir",
+                               "synonyms", "bogus"]),
+              st.one_of(_INT, _TEXT, st.sampled_from(
+                  ["0.5", "true", "two", "\\d{5}", "%(x)s", "1,x", "-1"]))),
+    _TEXT)
+_REQUIRED = {"stats": ["--in"], "split": ["--in", "--out-prefix"],
+             "gen-lexicon": ["--type", "--out"], "augment": ["--in", "--out"]}
+_OPTIONAL = {
+    "stats": [],
+    "split": ["--ratios", "--seed"],
+    "gen-lexicon": ["--count", "--seed"],
+    "augment": ["--records", "--alpha", "--sr-rate", "--ri-rate", "--seed",
+                "--lexicon-dir", "--synonyms", "--jobs", "--dry-run"],
+}
+
+
+@st.composite
+def _command_lines(draw, paths):
+    value = {
+        "--in": st.sampled_from([paths["corpus"]] * 3 + [
+            paths["latin1"], paths["missing"], paths["dir"]]),
+        "--out": st.sampled_from([paths["out"]] * 3 + [paths["dir"]]),
+        "--records": st.just(paths["records"]),
+        "--out-prefix": st.just(paths["prefix"]),
+        "--lexicon-dir": st.sampled_from([paths["dir"], paths["missing"]]),
+        "--type": st.sampled_from(["Zip", "Date", "Bogus"]),
+        "--count": st.sampled_from(["-2", "7", "x"]),
+        "--ratios": st.sampled_from(["0.7,0.1,0.2", "0.5,0.5", "a,b,c", ""]),
+        "--synonyms": st.sampled_from(["builtin", paths["missing"], "wndb:"]),
+    }
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    flags = _REQUIRED[command] + draw(
+        st.lists(st.sampled_from(_OPTIONAL[command]), unique=True)
+        if _OPTIONAL[command] else st.just([]))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--dry-run":
+            argv.append(draw(value.get(flag, st.one_of(_INT, _TEXT))))
+    if command == "gen-lexicon" and "--count" not in argv:
+        argv += ["--count", "5"]  # the default counts take long to generate
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TEXT))
+    if draw(st.booleans()):
+        argv = ["--config", paths["config"]] + argv
+    return argv
+
+
+@pytest.fixture(scope="module")
+def property_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("property")
+    corpus = root / "tiny.conll"
+    corpus.write_text("#doc id=a\nJohn\tB-NAME\nsaw\tO\nBoston\tB-LOCATION\n"
+                      "\n#doc id=b\nCall\tO\n555-1234\tB-CONTACT\n\n"
+                      "#doc id=c\nDr\tO\nSmith\tB-NAME\n\n")
+    (root / "latin1.conll").write_bytes(b"#doc id=a\nJos\xe9\tB-NAME\n\n")
+    (root / "dir").mkdir()
+    names = {"corpus": "tiny.conll", "latin1": "latin1.conll",
+             "missing": "missing.conll", "dir": "dir", "out": "out.conll",
+             "records": "records.jsonl", "prefix": "part",
+             "config": "cfg.ini"}
+    return root, {k: str(root / v) for k, v in names.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), header=_HEADER,
+       config=st.lists(_CONFIG_LINE, max_size=5))
+def test_property_exit_code_and_no_traceback(property_paths, data, header,
+                                             config):
+    root, paths = property_paths
+    with open(paths["config"], "w", encoding="utf-8") as f:
+        f.write("\n".join([header] + config) + "\n")
+    argv = data.draw(_command_lines(paths))
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)  # a stray relative path lands in the scratch directory
+    try:
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,9 +1,12 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import phicon
 from phicon.corpus import (
-    Corpus, Document, Label, O, Sentence, Token, relabel_from_spans,
+    Corpus, Document, Label, O, Sentence, Token, atomic_open,
+    relabel_from_spans,
 )
 from phicon.errors import BioViolationError, ParseError, PhiconError
 
@@ -69,6 +72,31 @@ class TestSerialize:
         out = phicon.serialize_conll(corpus)
         assert out.count("#doc id=") == 2
         assert out.endswith("\n") and not out.endswith("\n\n\n")
+
+
+class TestFileIO:
+    def test_non_utf8_input_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.conll"
+        path.write_bytes("#doc id=a\nJos\xe9\tB-Patient\n\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            phicon.read_conll(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.conll"
+        phicon.write_conll(phicon.parse_conll(FIG_TEXT), path)
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_open(path) as f:
+                f.write("partial\n")
+                raise OSError("disk full")
+        assert path.read_text() == FIG_TEXT
+        assert os.listdir(tmp_path) == ["out.conll"]
+
+    def test_rewrite_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out.conll"
+        path.write_text("a much longer previous file\n" * 50)
+        phicon.write_conll(phicon.parse_conll(FIG_TEXT), path)
+        assert path.read_text() == FIG_TEXT
+        assert os.listdir(tmp_path) == ["out.conll"]
 
 
 # Random corpus generation for round-trip property tests.

@@ -11,7 +11,7 @@ from phicon.errors import PhiconError
 from phicon import evaluate, tagger
 from phicon.evaluate import (
     ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
-    ablation_run, experiment_records, format_eval_report,
+    ablation_run, experiment_arms, experiment_records, format_eval_report,
     format_experiment_table, _subsample,
 )
 from phicon.rng import derive_seed
@@ -159,26 +159,24 @@ class TestCrossDatasetEval:
                                        builtin_provider_s):
         args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
                     registry=builtin_registry_s, provider=builtin_provider_s)
+        # The experiment runs serially; a rerun gives equal scores.
         arms = [("baseline", None), ("phicon", AugmentConfig(alpha=1))]
-        a = cross_dataset_eval(site_splits["train_a"], site_splits["dev_b"],
-                               arms, jobs=1, **args)
-        b = cross_dataset_eval(site_splits["train_a"], site_splits["dev_b"],
-                               arms, jobs=4, **args)
+        a, b = (cross_dataset_eval(site_splits["train_a"], site_splits["dev_b"],
+                                   arms, **args) for _ in range(2))
         assert a == b
 
     def test_shared_test_features_match_per_run_prediction(
             self, site_splits, builtin_registry_s, builtin_provider_s):
         # The test corpus is featurized once and read by every (seed, arm)
-        # run, also from --jobs threads; scores must equal those of a
-        # fresh predict_corpus per run.
+        # run; scores must equal those of a fresh predict_corpus per run,
+        # and a rerun must not see features changed by the first run.
         train, test = site_splits["train_a"], site_splits["dev_b"]
         args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
                     registry=builtin_registry_s, provider=builtin_provider_s)
         arms = [("baseline", None), ("phicon", AugmentConfig(alpha=1)),
                 ("other", None)]
-        serial = cross_dataset_eval(train, test, arms, jobs=1, **args)
-        threaded = cross_dataset_eval(train, test, arms, jobs=4, **args)
-        assert serial == threaded
+        serial = cross_dataset_eval(train, test, arms, **args)
+        assert cross_dataset_eval(train, test, arms, **args) == serial
         for s in (1, 2):
             sub = _subsample(train, 0.2, derive_seed(evaluate._SUBSAMPLE_SALT, s))
             model = tagger.train(sub, epochs=2,
@@ -245,6 +243,25 @@ class TestAlphaSweep:
         with pytest.raises(PhiconError):
             alpha_sweep(site_splits["train_a"], site_splits["dev_a"], [],
                         AugmentConfig())
+
+
+class TestExperimentArms:
+    def test_arm_switches_off_only_unused_components(self):
+        base = AugmentConfig(alpha=3, sr_rate=0.2, enable_sr=False,
+                             master_seed=5)
+        arms = dict(experiment_arms(ABLATION_ARMS, base))
+        assert arms["baseline"] is None
+        assert arms["phi_only"] == replace(base, enable_ri=False)
+        assert arms["context_only"] == replace(base, enable_phi=False)
+        assert arms["phicon"] == base
+
+    def test_alpha_zero_means_no_augmentation(self):
+        arms = experiment_arms(["phicon", "phi_only"], AugmentConfig(alpha=0))
+        assert arms == [("phicon", None), ("phi_only", None)]
+
+    def test_unknown_arm_rejected(self):
+        with pytest.raises(PhiconError, match="unknown arm"):
+            experiment_arms(["baseline", "nonsense"], AugmentConfig())
 
 
 class TestAblation:

@@ -108,10 +108,17 @@ class TestStopwords:
         assert phicon.is_stopword(tsv_provider, word) is expected
 
     def test_override_by_file(self, tmp_path):
-        path = tmp_path / "stop.txt"
-        path.write_text("foo\nBar\n")
-        words = phicon.synonyms.load_stopwords(path)
-        assert words == frozenset({"foo", "bar"})
+        # A custom stopword set passed to load_tsv replaces the bundled
+        # list: its words lose their POS and leave the RI pools.
+        path = tmp_path / "syn.tsv"
+        path.write_text("quick\tadjective\tfast\n"
+                        "steady\tadjective\tstable\n"
+                        "the\tadjective\t\n")
+        provider = phicon.load_tsv(path, stopwords=frozenset({"quick"}))
+        assert phicon.lookup_pos(provider, "Quick") == frozenset()
+        assert phicon.is_stopword(provider, "quick")
+        assert phicon.lookup_pos(provider, "the") == {PosTag.ADJECTIVE}
+        assert provider.pos_pool(PosTag.ADJECTIVE) == ("steady", "the")
 
 
 def test_pos_pool_sorted_and_nonstop(tsv_provider):
