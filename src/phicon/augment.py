@@ -92,8 +92,7 @@ def phi_augment(sentence: Sentence, registry: LexiconRegistry,
     spaces and relabeled Begin + Inside of the original type. Resolution
     failures raise before any tokens are modified.
     """
-    _require_valid(sentence)
-    spans = extract_entities(sentence)
+    spans = extract_entities(sentence)  # raises BioViolationError
     if not spans:
         return sentence, []
     lexicons = {}

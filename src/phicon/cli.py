@@ -35,12 +35,40 @@ from .synonyms import load_tsv, load_wndb
 from .synthgen import builtin_profiles, generate_corpus
 from . import tagger
 
-_CONFIG_SECTIONS = {
-    "paths": {"lexicon_dir", "synonyms", "output_dir"},
-    "augment": {"alpha", "sr_rate", "ri_rate", "enable_phi", "enable_sr",
-                "enable_ri", "seed", "drop_unchanged",
-                "keep_context_sentences"},
-    "experiment": {"fractions", "alphas", "n_seeds", "epochs"},
+
+def _arg_type(cast, check, expected: str):
+    """An argparse type: cast the raw value and require check(value)."""
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+            if check(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+    return parse
+
+
+_ALPHA = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
+_RATE = _arg_type(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_ALPHAS = _arg_type(lambda raw: [int(a) for a in raw.split(",")],
+                    lambda v: min(v) >= 0, "comma-separated integers >= 0")
+_RATIOS = _arg_type(lambda raw: tuple(float(x) for x in raw.split(",")),
+                    lambda v: True, "comma-separated numbers")
+_COUNT = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+_BOOL = _arg_type(
+    lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
+    lambda v: v is not None, "one of 1/yes/true/on or 0/no/false/off")
+
+# Every config key some command reads, with the type that parses its value.
+# A flag of the same name (dest) wins over the key.
+_SETTINGS = {
+    "paths": {"lexicon_dir": str, "synonyms": str},
+    "augment": {"alpha": _ALPHA, "sr_rate": _RATE, "ri_rate": _RATE,
+                "enable_phi": _BOOL, "enable_sr": _BOOL, "enable_ri": _BOOL,
+                "seed": int, "drop_unchanged": _BOOL,
+                "keep_context_sentences": _BOOL},
+    "experiment": {"alphas": _ALPHAS, "n_seeds": int, "epochs": int},
 }
 
 
@@ -48,7 +76,7 @@ def load_config(path) -> dict:
     """Parse the INI config; unknown sections or keys are rejected.
 
     Sections: [paths], [augment], [experiment], and one [generator.<Type>]
-    per generator-backed PHI type with keys patterns, weights, count.
+    per generator-backed PHI type with keys patterns, weights, count, seed.
     Pattern lists are newline-separated inside a key.
     """
     cp = configparser.ConfigParser()
@@ -72,78 +100,59 @@ def load_config(path) -> dict:
                 "seed": cp[section].getint("seed", fallback=0),
             }
             continue
-        allowed = _CONFIG_SECTIONS.get(section)
+        allowed = _SETTINGS.get(section)
         if allowed is None:
             raise PhiconError(f"unknown config section [{section}]")
-        unknown = set(cp[section]) - allowed
+        unknown = set(cp[section]) - allowed.keys()
         if unknown:
             raise PhiconError(f"unknown keys {sorted(unknown)} in [{section}]")
         out[section] = dict(cp[section])
     return out
 
 
-def _arg_type(cast, check, expected: str):
-    """An argparse type: cast the raw value and require check(value)."""
-    def parse(raw: str):
-        try:
-            value = cast(raw)
-            if check(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
-    return parse
-
-
-_ALPHA = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
-_RATE = _arg_type(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-_ALPHAS = _arg_type(lambda raw: [int(a) for a in raw.split(",")],
-                    lambda v: min(v) >= 0, "comma-separated integers >= 0")
-_RATIOS = _arg_type(lambda raw: tuple(float(x) for x in raw.split(",")),
-                    lambda v: True, "comma-separated numbers")
-
-
-def _bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes")
-
-
-def _setting(flag, config, section: str, key: str, cast, default):
-    """The flag if given, else the cast config value, else the default."""
+def _setting(args, config, section: str, key: str):
+    """The flag if given, else the typed config value, else None."""
+    flag = getattr(args, key, None)
     if flag is not None:
         return flag
     raw = config.get(section, {}).get(key)
     if raw is None:
-        return default
+        return None
     try:
-        return cast(raw)
+        return _SETTINGS[section][key](raw)
     except (ValueError, argparse.ArgumentTypeError) as e:
         raise PhiconError(f"[{section}] {key}: {e}") from None
 
 
-def _augment_config(args, config) -> AugmentConfig:
-    def pick(key, cast, default):
-        return _setting(getattr(args, key, None), config, "augment", key,
-                        cast, default)
+def _given(args, config, section: str, keys) -> dict:
+    """The settings among keys that were given; the library defaults the
+    rest."""
+    values = {key: _setting(args, config, section, key) for key in keys}
+    return {key: v for key, v in values.items() if v is not None}
 
-    return AugmentConfig(
-        alpha=pick("alpha", _ALPHA, 2),
-        sr_rate=pick("sr_rate", _RATE, 0.1),
-        ri_rate=pick("ri_rate", _RATE, 0.05),
-        enable_phi=pick("enable_phi", _bool, True),
-        enable_sr=pick("enable_sr", _bool, True),
-        enable_ri=pick("enable_ri", _bool, True),
-        master_seed=pick("seed", int, 0),
-        drop_unchanged=pick("drop_unchanged", _bool, True),
-        keep_context_sentences=pick("keep_context_sentences", _bool, False),
-    )
+
+def _augment_config(args, config) -> AugmentConfig:
+    given = _given(args, config, "augment", _SETTINGS["augment"])
+    if "seed" in given:
+        given["master_seed"] = given.pop("seed")
+    return AugmentConfig(**given)
+
+
+def _generator_spec(phi_type: str, section: dict) -> GeneratorSpec:
+    """The spec of a [generator.<Type>] section with patterns, else the
+    type's default spec (None for a type without one)."""
+    if section.get("patterns"):
+        return GeneratorSpec(phi_type, section["patterns"], section["weights"])
+    return DEFAULT_GENERATOR_SPECS.get(phi_type)
 
 
 def _build_registry(args, config) -> LexiconRegistry:
     """The builtin registry with the configured pools swapped in. Per PHI
     type the first of these wins: a [generator.<Type>] patterns section, a
-    <Type>.txt in the lexicon dir, a count-only section, the builtin pool."""
-    seed = args.seed or 0
-    lexicon_dir = args.lexicon_dir or config.get("paths", {}).get("lexicon_dir")
+    <Type>.txt in the lexicon dir, a count-only section, the builtin pool.
+    The registry seed is the augmentation seed."""
+    seed = _augment_config(args, config).master_seed
+    lexicon_dir = _setting(args, config, "paths", "lexicon_dir")
     lexicons = {}
     if lexicon_dir is not None:
         for name in sorted(os.listdir(lexicon_dir)):
@@ -151,22 +160,18 @@ def _build_registry(args, config) -> LexiconRegistry:
                 lexicons[name[:-4]] = load_lexicon(
                     os.path.join(lexicon_dir, name), name[:-4])
     for phi_type, g in config.get("generators", {}).items():
+        spec = _generator_spec(phi_type, g)
         if g["patterns"]:
-            spec = GeneratorSpec(phi_type, g["patterns"],
-                                 g["weights"] or (1.0,) * len(g["patterns"]))
             lexicons[phi_type] = generate_identifiers(
                 spec, g["count"] or 2000, g["seed"])
-        elif (g["count"] and phi_type in DEFAULT_GENERATOR_SPECS
-              and phi_type not in lexicons):
-            lexicons[phi_type] = generate_identifiers(
-                DEFAULT_GENERATOR_SPECS[phi_type], g["count"], seed)
+        elif g["count"] and spec is not None and phi_type not in lexicons:
+            lexicons[phi_type] = generate_identifiers(spec, g["count"], seed)
     return builtin_registry(seed=seed, lexicons=lexicons)
 
 
 def _build_provider(args, config):
-    paths = config.get("paths", {})
-    source = args.synonyms or paths.get("synonyms", "builtin")
-    if source == "builtin":
+    source = _setting(args, config, "paths", "synonyms")
+    if source in (None, "builtin"):
         return builtin_provider()
     if source.startswith("wndb:"):
         return load_wndb(source[len("wndb:"):])
@@ -202,16 +207,12 @@ def _cmd_augment(args, config):
 
 
 def _cmd_gen_lexicon(args, config):
-    gens = config.get("generators", {})
-    spec = DEFAULT_GENERATOR_SPECS.get(args.type)
-    if args.type in gens and gens[args.type]["patterns"]:
-        g = gens[args.type]
-        spec = GeneratorSpec(args.type, g["patterns"],
-                             g["weights"] or (1.0,) * len(g["patterns"]))
-    if spec is None:
-        raise PhiconError(f"no generator spec for type {args.type!r}")
-    count = args.count or DEFAULT_GENERATED_COUNTS[args.type]
-    lexicon = generate_identifiers(spec, count, args.seed)
+    section = config.get("generators", {}).get(args.type, {})
+    spec = _generator_spec(args.type, section)
+    count = (args.count or section.get("count")
+             or DEFAULT_GENERATED_COUNTS[args.type])
+    seed = args.seed if args.seed is not None else section.get("seed", 0)
+    lexicon = generate_identifiers(spec, count, seed)
     with atomic_open(args.outfile) as f:
         for entry in lexicon.entries:
             f.write(entry + "\n")
@@ -271,26 +272,21 @@ def _cmd_eval(args, config):
     return 0
 
 
-def _experiment_args(args, config):
-    n_seeds = _setting(args.seeds, config, "experiment", "n_seeds", int, 5)
-    epochs = _setting(args.epochs, config, "experiment", "epochs", int, 5)
-    return n_seeds, epochs
-
-
 def _cmd_xeval(args, config):
     """xeval, and ablate (xeval with the four ABLATION_ARMS)."""
     train_c = read_conll(args.train)
     test_c = read_conll(args.test)
     cfg = _augment_config(args, config)
-    n_seeds, epochs = _experiment_args(args, config)
+    given = _given(args, config, "experiment", ("n_seeds", "epochs"))
+    if args.fraction is not None:
+        given["train_fraction"] = args.fraction
     arms = experiment_arms(args.arms.split(","), cfg)
     needs_aug = any(c is not None for _, c in arms)
     registry = _build_registry(args, config) if needs_aug else None
     provider = _build_provider(args, config) if needs_aug else None
     result = cross_dataset_eval(
-        train_c, test_c, arms, train_fraction=args.fraction,
-        n_seeds=n_seeds, epochs=epochs, registry=registry,
-        provider=provider, setting=f"{args.train}->{args.test}")
+        train_c, test_c, arms, registry=registry, provider=provider,
+        setting=f"{args.train}->{args.test}", **given)
     print(format_experiment_table(result), end="")
     if args.records:
         with atomic_open(args.records) as f:
@@ -302,14 +298,13 @@ def _cmd_sweep(args, config):
     train_c = read_conll(args.train)
     dev_c = read_conll(args.dev)
     cfg = _augment_config(args, config)
-    n_seeds, epochs = _experiment_args(args, config)
-    alphas = _setting(args.alphas, config, "experiment", "alphas", _ALPHAS,
-                      [1, 2, 3, 4])
+    given = _given(args, config, "experiment", ("n_seeds", "epochs"))
+    alphas = _setting(args, config, "experiment", "alphas") or [1, 2, 3, 4]
     registry = _build_registry(args, config)
     provider = _build_provider(args, config)
-    curve = alpha_sweep(train_c, dev_c, alphas, cfg, n_seeds=n_seeds,
-                        epochs=epochs, registry=registry, provider=provider,
-                        setting=f"{args.train}->{args.dev}")
+    curve = alpha_sweep(train_c, dev_c, alphas, cfg, registry=registry,
+                        provider=provider, setting=f"{args.train}->{args.dev}",
+                        **given)
     print("alpha  mean_micro_f1")
     for a, score in curve.items():
         print(f"{a:<6} {score:.4f}")
@@ -348,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-lexicon", help="generate an identifier lexicon")
     p.add_argument("--type", required=True,
                    choices=sorted(DEFAULT_GENERATOR_SPECS))
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_COUNT, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_gen_lexicon)
 
@@ -397,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--records", default=None)
         else:
             p.set_defaults(arms=",".join(ABLATION_ARMS), records=None)
-        p.add_argument("--fraction", type=float, default=1.0)
-        p.add_argument("--seeds", type=int, default=None)
+        p.add_argument("--fraction", type=float, default=None)
+        p.add_argument("--seeds", dest="n_seeds", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         _add_augment_flags(p)
         p.set_defaults(func=_cmd_xeval)
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--alphas", type=_ALPHAS, default=None, help="e.g. 1,2,3,4")
-    p.add_argument("--seeds", type=int, default=None)
+    p.add_argument("--seeds", dest="n_seeds", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     _add_augment_flags(p)
     p.set_defaults(func=_cmd_sweep)

@@ -145,10 +145,11 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     data = [(fs, [index[str(t.label)] for t in sent.tokens])
             for sent, fs in zip(sentences, featurize_sentences(sentences))]
 
-    # One row per feature, indexed by label, for the weights and for the
-    # lazy averaging (Collins 2002): each entry's running total and the
-    # step of its last update. A feature gets its rows at its first update.
-    weights, totals, stamps = {}, {}, {}
+    # Two rows per feature, indexed by label, created at its first update:
+    # the weights, and each update summed weighted by its step. The Collins
+    # (2002) average over all steps is then (step * w - u) / step; every
+    # value is an integer-valued float far below 2**53, so it is exact.
+    weights, updates = {}, {}
     step = 0
     order = list(range(len(data)))
     for epoch in range(epochs):
@@ -166,18 +167,17 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
                     w = weights.get(f)
                     if w is None:
                         w = weights[f] = [0.0] * n
-                        totals[f], stamps[f] = [0.0] * n, [0] * n
-                    t, s = totals[f], stamps[f]
+                        updates[f] = [0.0] * n
+                    u = updates[f]
                     for li, delta in ((gold, 1.0), (pred, -1.0)):
-                        t[li] += (step - s[li]) * w[li]
-                        s[li] = step
                         w[li] += delta
+                        u[li] += step * delta
 
     averaged: dict[str, dict[str, float]] = {}
     for feat, w in weights.items():
-        t, s = totals[feat], stamps[feat]
+        u = updates[feat]
         avg = {label_set[i]: v for i in range(n)
-               if (v := (t[i] + (step - s[i]) * w[i]) / step)}
+               if (v := (step * w[i] - u[i]) / step)}
         if avg:
             averaged[feat] = avg
 

@@ -81,6 +81,56 @@ class TestConfig:
         merged = phicon.read_conll(out)
         assert sum(1 for d in merged.documents if "#aug3" in d.id) > 0
 
+    def test_config_seed_is_flag_seed(self, tmp_path):
+        # [augment] seed seeds the registry as --seed does, so both write
+        # the same corpus and records.
+        corpus = tmp_path / "fine.conll"
+        assert run(["synth", "--site", "A", "--docs", "6", "--seed", "1",
+                    "--out", str(corpus)]) == 0
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[augment]\nseed = 5\n")
+        outputs = []
+        for name, argv in (("flag", ["augment", "--seed", "5"]),
+                           ("config", ["--config", str(cfg), "augment"])):
+            out, records = tmp_path / f"{name}.conll", tmp_path / f"{name}.jsonl"
+            assert run(argv + ["--in", str(corpus), "--out", str(out),
+                               "--records", str(records)]) == 0
+            outputs.append((out.read_bytes(), records.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("section,key", [("paths", "output_dir"),
+                                             ("experiment", "fractions")])
+    def test_unread_key_rejected(self, small_conll, tmp_path, capsys,
+                                 section, key):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{key} = x\n")
+        assert run(["--config", str(cfg), "stats",
+                    "--in", str(small_conll)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: unknown keys ['{key}'] in [{section}]")
+
+    def test_config_boolean_words(self):
+        # configparser's words, in any case; "on" used to mean False.
+        args = cli.build_parser().parse_args(
+            ["augment", "--in", "x", "--out", "y"])
+        for word, value in (("1", True), ("YES", True), ("True", True),
+                            ("on", True), ("0", False), ("No", False),
+                            ("false", False), ("OFF", False)):
+            cfg = cli._augment_config(args, {"augment": {"enable_sr": word}})
+            assert cfg.enable_sr is value, word
+
+    @pytest.mark.parametrize("word", ["flase", "2", "y", ""])
+    def test_bad_config_boolean(self, small_conll, tmp_path, capsys, word):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[augment]\nenable_sr = {word}\n")
+        out = tmp_path / "aug.conll"
+        assert run(["--config", str(cfg), "augment", "--in", str(small_conll),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [augment] enable_sr: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSynthSplitStats:
     def test_synth_writes_parseable_corpus(self, small_conll):
@@ -125,6 +175,43 @@ class TestGenLexicon:
                     "--count", "50", "--out", str(out)]) == 0
         assert all(re.fullmatch(r"[A-Z]{3}", e)
                    for e in out.read_text().splitlines())
+
+    def test_bad_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "zips.txt"
+        for count in ("0", "-2", "x"):
+            assert run(["gen-lexicon", "--type", "Zip", "--count", count,
+                        "--out", str(out)]) == 2, count
+            assert "error: argument --count" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_section_count_and_seed_apply_unless_flagged(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Zip]\ncount = 10\nseed = 3\n")
+        for flags, same_as in (([], ["--count", "10", "--seed", "3"]),
+                               (["--count", "7", "--seed", "4"],
+                                ["--count", "7", "--seed", "4"])):
+            out, ref = tmp_path / "zips.txt", tmp_path / "ref.txt"
+            assert run(["--config", str(cfg), "gen-lexicon", "--type", "Zip",
+                        "--out", str(out)] + flags) == 0
+            assert run(["gen-lexicon", "--type", "Zip", "--out", str(ref)]
+                       + same_as) == 0
+            assert out.read_text() == ref.read_text()
+            assert len(out.read_text().splitlines()) == int(same_as[1])
+
+    def test_section_pool_matches_registry(self, tmp_path):
+        # A patterns section (no weights: equal weights) becomes the same
+        # pool in gen-lexicon as in the registry.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.ID]\npatterns =\n    [A-Z]{3}\n"
+                       "    \\d{4}\ncount = 40\nseed = 6\n")
+        out = tmp_path / "ids.txt"
+        assert run(["--config", str(cfg), "gen-lexicon", "--type", "ID",
+                    "--out", str(out)]) == 0
+        args = cli.build_parser().parse_args(
+            ["augment", "--in", "x", "--out", "y"])
+        registry = cli._build_registry(args, load_config(cfg))
+        assert tuple(out.read_text().splitlines()) == \
+            registry.by_fine["ID"].entries
 
     def test_exhaustion_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
