@@ -20,9 +20,8 @@ from .corpus import (
 from .errors import BioViolationError, LexiconError
 from .lexicon import LexiconRegistry, registry_resolve, sample_entity
 from .rng import RandomStream, derive_seed
-from .synonyms import PosTag, SynonymProvider, lookup_pos, lookup_synonyms
+from .synonyms import PosTag, SynonymProvider
 
-_SR_POS = (PosTag.NOUN, PosTag.VERB, PosTag.ADJECTIVE, PosTag.ADVERB)
 _RI_INSERT_POS = {PosTag.VERB: PosTag.ADVERB,
                   PosTag.ADJECTIVE: PosTag.ADVERB,
                   PosTag.NOUN: PosTag.ADJECTIVE}
@@ -90,22 +89,18 @@ def phi_augment(sentence: Sentence, registry: LexiconRegistry,
 
     Outside tokens are untouched; replacement strings are split on single
     spaces and relabeled Begin + Inside of the original type. Resolution
-    failures raise before any tokens are modified.
+    failures raise LexiconError; the input sentence is never modified.
     """
     spans = extract_entities(sentence)  # raises BioViolationError
     if not spans:
         return sentence, []
-    lexicons = {}
-    for span in spans:
-        if span.phi_type not in lexicons:
-            lexicons[span.phi_type] = registry_resolve(registry, span.phi_type)
-
     new_tokens: list[Token] = []
     replacements: list[Replacement] = []
     cursor = 0
     for span in spans:
         new_tokens.extend(sentence.tokens[cursor:span.start])
-        entity = sample_entity(lexicons[span.phi_type], rng, avoid=span.surface)
+        entity = sample_entity(registry_resolve(registry, span.phi_type), rng,
+                               avoid=span.surface)
         words = entity.split(" ")
         start = len(new_tokens)
         new_tokens.append(Token(words[0], Label(BEGIN, span.phi_type)))
@@ -116,13 +111,6 @@ def phi_augment(sentence: Sentence, registry: LexiconRegistry,
         cursor = span.end
     new_tokens.extend(sentence.tokens[cursor:])
     return Sentence(tuple(new_tokens)), replacements
-
-
-def _unambiguous_pos(provider: SynonymProvider, word: str) -> PosTag | None:
-    tags = lookup_pos(provider, word)
-    if len(tags) == 1:
-        return next(iter(tags))
-    return None
 
 
 def _match_case(original: str, replacement: str) -> str:
@@ -140,14 +128,11 @@ def synonym_replace(sentence: Sentence, provider: SynonymProvider,
     synonyms expand into several Outside tokens; leading-case is preserved.
     """
     _require_valid(sentence)
-    eligible: list[tuple[int, list[str]]] = []
+    eligible: list[tuple[int, tuple[str, ...]]] = []
     for i, tok in enumerate(sentence.tokens):
         if tok.label.is_phi:
             continue
-        pos = _unambiguous_pos(provider, tok.text)
-        if pos is None or pos not in _SR_POS:
-            continue
-        syns = lookup_synonyms(provider, tok.text, pos)
+        _, syns = provider._unambiguous.get(tok.text.lower(), (None, ()))
         if syns:
             eligible.append((i, syns))
     if not eligible:
@@ -178,25 +163,21 @@ def random_insert(sentence: Sentence, provider: SynonymProvider,
     for i, tok in enumerate(sentence.tokens):
         if tok.label.is_phi:
             continue
-        pos = _unambiguous_pos(provider, tok.text)
+        pos, _ = provider._unambiguous.get(tok.text.lower(), (None, ()))
         if pos in _RI_INSERT_POS:
             anchors.append((i, pos))
     if not anchors:
         return sentence
     n = min(len(anchors), max(1, round(ri_rate * len(sentence))))
     chosen = sorted(rng.sample(range(len(anchors)), n))
-    pools: dict[PosTag, tuple[str, ...]] = {}
     insertions: dict[int, str] = {}
     for j in chosen:
         idx, anchor_pos = anchors[j]
         insert_pos = _RI_INSERT_POS[anchor_pos]
-        pool = pools.get(insert_pos)
-        if pool is None:
-            pool = provider.pos_pool(insert_pos)
-            if not pool:
-                raise LexiconError(
-                    f"provider has no {insert_pos.value} lemmas to insert")
-            pools[insert_pos] = pool
+        pool = provider.pos_pool(insert_pos)
+        if not pool:
+            raise LexiconError(
+                f"provider has no {insert_pos.value} lemmas to insert")
         insertions[idx] = rng.choice(pool)
     out: list[Token] = []
     for i, tok in enumerate(sentence.tokens):

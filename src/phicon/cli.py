@@ -86,9 +86,16 @@ def load_config(path) -> dict:
     for section in cp.sections():
         if section.startswith("generator."):
             phi_type = section[len("generator."):]
+            if phi_type not in DEFAULT_GENERATOR_SPECS:
+                raise PhiconError(
+                    f"[{section}]: {phi_type} is not a generator-backed type")
             keys = set(cp[section]) - {"patterns", "weights", "count", "seed"}
             if keys:
                 raise PhiconError(f"unknown keys {sorted(keys)} in [{section}]")
+            count = cp[section].getint("count", fallback=None)
+            if count is not None and count < 1:
+                raise PhiconError(f"[{section}] count: expected an integer "
+                                  f">= 1, got {count}")
             patterns = tuple(
                 p for p in cp[section].get("patterns", "").splitlines() if p)
             weights = tuple(
@@ -96,7 +103,7 @@ def load_config(path) -> dict:
             out["generators"][phi_type] = {
                 "patterns": patterns,
                 "weights": weights,
-                "count": cp[section].getint("count", fallback=None),
+                "count": count,
                 "seed": cp[section].getint("seed", fallback=0),
             }
             continue
@@ -140,10 +147,10 @@ def _augment_config(args, config) -> AugmentConfig:
 
 def _generator_spec(phi_type: str, section: dict) -> GeneratorSpec:
     """The spec of a [generator.<Type>] section with patterns, else the
-    type's default spec (None for a type without one)."""
+    type's default spec."""
     if section.get("patterns"):
         return GeneratorSpec(phi_type, section["patterns"], section["weights"])
-    return DEFAULT_GENERATOR_SPECS.get(phi_type)
+    return DEFAULT_GENERATOR_SPECS[phi_type]
 
 
 def _build_registry(args, config) -> LexiconRegistry:
@@ -164,7 +171,7 @@ def _build_registry(args, config) -> LexiconRegistry:
         if g["patterns"]:
             lexicons[phi_type] = generate_identifiers(
                 spec, g["count"] or 2000, g["seed"])
-        elif g["count"] and spec is not None and phi_type not in lexicons:
+        elif g["count"] and phi_type not in lexicons:
             lexicons[phi_type] = generate_identifiers(spec, g["count"], seed)
     return builtin_registry(seed=seed, lexicons=lexicons)
 

@@ -93,7 +93,3 @@ class RandomStream:
         pool = list(seq)
         self.shuffle(pool)
         return pool[:k]
-
-    def split(self, *parts: int) -> "RandomStream":
-        """Child stream keyed by coordinates; independent of draws made here."""
-        return RandomStream(derive_seed(self._state, *parts))

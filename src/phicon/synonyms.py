@@ -54,12 +54,25 @@ class SynonymProvider:
     index: dict  # (lemma, PosTag) -> frozenset of synonym lemmas
     pos_index: dict  # lemma -> frozenset of PosTag
     stopwords: frozenset = STOPWORDS
+    # Built once at construction. _unambiguous: each non-stopword lemma with
+    # exactly one POS -> (that POS, its synonyms sorted); only these words
+    # are SR targets and RI anchors. _pools: POS -> its non-stopword
+    # lemmas, sorted.
+    _unambiguous: dict = field(init=False, repr=False, compare=False)
+    _pools: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tags = self.pos_index
+        lemmas = sorted(w for w in tags if w not in self.stopwords)
+        object.__setattr__(self, "_unambiguous", {
+            w: (pos, tuple(sorted(self.index.get((w, pos), ()))))
+            for w in lemmas if len(tags[w]) == 1 for pos in tags[w]})
+        object.__setattr__(self, "_pools", {
+            pos: tuple(w for w in lemmas if pos in tags[w]) for pos in PosTag})
 
     def pos_pool(self, pos: PosTag) -> tuple[str, ...]:
         """All non-stopword lemmas carrying the given POS, sorted."""
-        return tuple(sorted(
-            lemma for lemma, tags in self.pos_index.items()
-            if pos in tags and lemma not in self.stopwords))
+        return self._pools.get(pos, ())
 
 
 def _normalize(lemma: str) -> str:

@@ -11,6 +11,7 @@ construction.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .corpus import (
@@ -260,6 +261,11 @@ def load_model(path) -> TaggerModel:
         label_set = lines[1][len("labels "):].split("\t")
         for lbl in label_set:
             Label.parse(lbl)  # ValueError on a malformed label
+        labels = set(label_set)
+        if len(labels) != len(label_set):
+            raise ModelFormatError("duplicate label in the label table")
+        if "O" not in labels:
+            raise ModelFormatError("label table lacks the Outside label O")
         if not lines[2].startswith("meta "):
             raise ModelFormatError("missing meta line")
         meta = {}
@@ -269,12 +275,26 @@ def load_model(path) -> TaggerModel:
         if not lines[3].startswith("nweights "):
             raise ModelFormatError("missing weight count")
         n = int(lines[3][len("nweights "):])
+        if n < 0:
+            raise ModelFormatError(f"negative weight count {n}")
         weights: dict[str, dict[str, float]] = {}
-        for i in range(n):
-            feat, lbl, w = lines[4 + i].split("\t")
-            weights.setdefault(feat, {})[lbl] = float(w)
+        for lineno in range(5, 5 + n):
+            feat, lbl, w = lines[lineno - 1].split("\t")
+            row = weights.setdefault(feat, {})
+            value = float(w)
+            if lbl not in labels:
+                raise ModelFormatError(
+                    f"line {lineno}: label {lbl} is not in the label table")
+            if lbl in row:
+                raise ModelFormatError(f"line {lineno}: duplicate weight row")
+            if not math.isfinite(value):
+                raise ModelFormatError(
+                    f"line {lineno}: weight {w} is not finite")
+            row[lbl] = value
         if lines[4 + n] != "end":
             raise ModelFormatError(f"truncated model file: {path}")
+        if any(lines[5 + n:]):
+            raise ModelFormatError(f"content after end: {path}")
     except (IndexError, ValueError) as e:
         raise ModelFormatError(f"corrupt model file {path}: {e}") from None
     return TaggerModel(weights, label_set, template, meta)

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phicon
+import phicon.augment as augment_module
 from phicon.augment import (
-    AugmentConfig, augment_corpus, augment_sentence, phi_augment,
-    random_insert, synonym_replace, write_records,
+    _RI_INSERT_POS, AugmentConfig, _match_case, _require_valid,
+    augment_corpus, augment_sentence, phi_augment, random_insert,
+    synonym_replace, write_records,
 )
-from phicon.corpus import Corpus, Document, validate_bio
+from phicon.corpus import O, Corpus, Document, Sentence, Token, validate_bio
 from phicon.errors import BioViolationError, LexiconError
 from phicon.rng import RandomStream
-from tests.conftest import FIG_SENTENCE, sent
+from phicon.synonyms import PosTag, lookup_pos, lookup_synonyms
+from tests.conftest import DATA_DIR, FIG_SENTENCE, sent
 
 
 @pytest.fixture
@@ -257,3 +260,161 @@ def test_property_output_always_bio_valid(seed, fixture_registry, tsv_provider):
     assert not validate_bio(out[0])
     spans = phicon.extract_entities(out[0])
     assert [s.phi_type for s in spans] == ["Patient", "Hospital"]
+
+
+# ---------------------------------------------------------------------------
+# Reference equivalence: SR and RI as they were when every call re-derived
+# eligibility through lookup_pos / lookup_synonyms and re-sorted the POS
+# pools, before the provider built both tables once.
+
+_REF_SR_POS = (PosTag.NOUN, PosTag.VERB, PosTag.ADJECTIVE, PosTag.ADVERB)
+
+
+def _ref_unambiguous_pos(provider, word):
+    tags = lookup_pos(provider, word)
+    if len(tags) == 1:
+        return next(iter(tags))
+    return None
+
+
+def _ref_pos_pool(provider, pos):
+    return tuple(sorted(
+        lemma for lemma, tags in provider.pos_index.items()
+        if pos in tags and lemma not in provider.stopwords))
+
+
+def _ref_synonym_replace(sentence, provider, sr_rate, rng):
+    _require_valid(sentence)
+    eligible = []
+    for i, tok in enumerate(sentence.tokens):
+        if tok.label.is_phi:
+            continue
+        pos = _ref_unambiguous_pos(provider, tok.text)
+        if pos is None or pos not in _REF_SR_POS:
+            continue
+        syns = lookup_synonyms(provider, tok.text, pos)
+        if syns:
+            eligible.append((i, syns))
+    if not eligible:
+        return sentence
+    n = min(len(eligible), max(1, round(sr_rate * len(eligible))))
+    chosen = rng.sample(range(len(eligible)), n)
+    picks = {}
+    for j in sorted(chosen):
+        idx, syns = eligible[j]
+        picks[idx] = rng.choice(syns)
+    out = []
+    for i, tok in enumerate(sentence.tokens):
+        if i not in picks:
+            out.append(tok)
+            continue
+        words = _match_case(tok.text, picks[i]).split(" ")
+        out.extend(Token(w, O) for w in words)
+    return Sentence(tuple(out))
+
+
+def _ref_random_insert(sentence, provider, ri_rate, rng):
+    _require_valid(sentence)
+    anchors = []
+    for i, tok in enumerate(sentence.tokens):
+        if tok.label.is_phi:
+            continue
+        pos = _ref_unambiguous_pos(provider, tok.text)
+        if pos in _RI_INSERT_POS:
+            anchors.append((i, pos))
+    if not anchors:
+        return sentence
+    n = min(len(anchors), max(1, round(ri_rate * len(sentence))))
+    chosen = sorted(rng.sample(range(len(anchors)), n))
+    pools = {}
+    insertions = {}
+    for j in chosen:
+        idx, anchor_pos = anchors[j]
+        insert_pos = _RI_INSERT_POS[anchor_pos]
+        pool = pools.get(insert_pos)
+        if pool is None:
+            pool = _ref_pos_pool(provider, insert_pos)
+            if not pool:
+                raise LexiconError(
+                    f"provider has no {insert_pos.value} lemmas to insert")
+            pools[insert_pos] = pool
+        insertions[idx] = rng.choice(pool)
+    out = []
+    for i, tok in enumerate(sentence.tokens):
+        if i in insertions:
+            out.extend(Token(w, O) for w in insertions[i].split(" "))
+        out.append(tok)
+    return Sentence(tuple(out))
+
+
+@pytest.fixture(scope="module", params=["builtin", "tsv-stopwords", "wndb"])
+def ref_provider(request, tmp_path_factory):
+    if request.param == "builtin":
+        return phicon.builtin_provider()
+    if request.param == "wndb":
+        return phicon.load_wndb(os.path.join(DATA_DIR, "wndb"))
+    # The bundled table plus ambiguous, synonym-less and default-stopword
+    # lemmas, under a stopword set that masks some bundled lemmas instead.
+    bundled = os.path.join(os.path.dirname(phicon.__file__), "data",
+                           "synonyms.tsv")
+    with open(bundled, encoding="utf-8") as f:
+        text = f.read()
+    path = tmp_path_factory.mktemp("ref") / "syn.tsv"
+    path.write_text(text + "run\tnoun\tsprint\nrun\tverb\tjog\n"
+                    "clinic\tnoun\thealth center\npromptly\tadverb\t\n"
+                    "the\tadjective\tsaid\nvery\tadverb\tquite\n")
+    return phicon.load_tsv(path, stopwords=frozenset(
+        {"met", "noted", "reviewed", "quick", "stable"}))
+
+
+def _lemma_corpus(provider):
+    """Six synthetic SiteA documents, plus one whose sentences hold every
+    word of every lemma the provider knows (every other one title-cased),
+    a stopword and a PHI token."""
+    synth = phicon.generate_corpus(
+        phicon.builtin_profiles()[0], 6, (8, 15), seed=11)
+    words = [w for lemma in sorted(provider.pos_index)
+             for w in lemma.split(" ")]
+    words = [w.title() if i % 2 else w for i, w in enumerate(words)]
+    sentences = tuple(
+        sent(("The", "O"), *[(w, "O") for w in words[k:k + 5]],
+             ("Smith", "B-Doctor"))
+        for k in range(0, len(words), 5))
+    return Corpus(synth.documents + (Document("lemmas", sentences),),
+                  synth.taxonomy)
+
+
+class TestReferenceEquivalence:
+    def test_table_matches_lookups(self, ref_provider):
+        expected = {}
+        for lemma in ref_provider.pos_index:
+            pos = _ref_unambiguous_pos(ref_provider, lemma)
+            if pos is not None:
+                expected[lemma] = (pos, tuple(
+                    lookup_synonyms(ref_provider, lemma, pos)))
+        assert ref_provider._unambiguous == expected
+
+    def test_pos_pool_built_once(self, ref_provider):
+        for pos in PosTag:
+            pool = ref_provider.pos_pool(pos)
+            assert pool == _ref_pos_pool(ref_provider, pos)
+            assert ref_provider.pos_pool(pos) is pool
+
+    def test_augment_corpus_identical(self, ref_provider, fixture_registry,
+                                      monkeypatch):
+        corpus = _lemma_corpus(ref_provider)
+        configs = [AugmentConfig(alpha=3, sr_rate=0.5, ri_rate=0.3,
+                                 master_seed=seed) for seed in range(4)]
+        configs.append(AugmentConfig(master_seed=9))
+        new = [augment_corpus(corpus, fixture_registry, ref_provider, cfg)
+               for cfg in configs]
+        monkeypatch.setattr(augment_module, "synonym_replace",
+                            _ref_synonym_replace)
+        monkeypatch.setattr(augment_module, "random_insert",
+                            _ref_random_insert)
+        ref = [augment_corpus(corpus, fixture_registry, ref_provider, cfg)
+               for cfg in configs]
+        assert new == ref
+        applied = {op for _, records in new for r in records
+                   for op in r.applied}
+        assert applied == {"PHI", "SR", "RI"}

@@ -131,6 +131,25 @@ class TestConfig:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "[generator.Patient]\ncount = 5\n",
+        "[generator.Bogus]\n",
+        "[generator.Zip]\ncount = 0\n",
+        "[generator.Zip]\npatterns =\n    \\d{5}\ncount = -1\n",
+    ], ids=["curated-type", "unknown-type", "count-zero", "count-negative"])
+    def test_bad_generator_section(self, small_conll, tmp_path, capsys, text):
+        # Each used to augment with exit 0, the section ignored (or, for a
+        # negative count, fail with a message that names no section).
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        out = tmp_path / "aug.conll"
+        assert run(["--config", str(cfg), "augment", "--in", str(small_conll),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [generator.")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSynthSplitStats:
     def test_synth_writes_parseable_corpus(self, small_conll):

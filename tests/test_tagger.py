@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phicon
+from phicon.cli import run
 from phicon.corpus import Corpus, Document, Label, validate_bio
 from phicon.errors import ModelFormatError, PhiconError
 from phicon.rng import RandomStream, derive_seed
@@ -208,6 +209,47 @@ class TestModelFile:
         path.write_text(path.read_text().replace("\tB-Date", "\tX-Date", 1))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("case", [
+        "unknown-label", "nan-weight", "inf-weight", "duplicate-row",
+        "content-after-end", "duplicate-label", "no-outside-label",
+        "negative-count"])
+    def test_defect_rejected(self, tmp_path, capsys, case):
+        # Each of these used to load (or raise a bare PhiconError) and so
+        # gave a model whose weights differ from the file's.
+        corpus = _train_corpus()
+        path = tmp_path / "model.txt"
+        save_model(train(corpus, epochs=1, seed=0), path)
+        path.write_text(_corrupt(path.read_text().split("\n"), case))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        gold = tmp_path / "gold.conll"
+        phicon.write_conll(corpus, gold)
+        capsys.readouterr()
+        assert run(["eval", "--model", str(path), "--test", str(gold)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+def _corrupt(lines, case):
+    """A saved model's lines joined back, with one defect named by case."""
+    feat, lbl, w = lines[4].split("\t")
+    labels = lines[1][len("labels "):].split("\t")
+    n = int(lines[3][len("nweights "):])
+    edits = {
+        "unknown-label": {4: f"{feat}\tB-Bogus\t{w}"},
+        "nan-weight": {4: f"{feat}\t{lbl}\tnan"},
+        "inf-weight": {4: f"{feat}\t{lbl}\t-inf"},
+        "duplicate-row": {3: f"nweights {n + 1}",
+                          4: lines[4] + "\n" + lines[4]},
+        "content-after-end": {4 + n: "end\nstray"},
+        "duplicate-label": {1: lines[1] + "\tO"},
+        "no-outside-label": {1: "labels " + "\t".join(
+            x for x in labels if x != "O")},
+        # lines[4 + n] is then the final "end", and every row is skipped
+        "negative-count": {3: "nweights -6"},
+    }[case]
+    return "\n".join(edits.get(i, line) for i, line in enumerate(lines))
 
 
 class _FailingMeta(dict):
