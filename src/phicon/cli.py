@@ -56,6 +56,7 @@ _ALPHAS = _arg_type(lambda raw: [int(a) for a in raw.split(",")],
 _RATIOS = _arg_type(lambda raw: tuple(float(x) for x in raw.split(",")),
                     lambda v: True, "comma-separated numbers")
 _COUNT = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+_FRACTION = _arg_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _BOOL = _arg_type(
     lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
     lambda v: v is not None, "one of 1/yes/true/on or 0/no/false/off")
@@ -68,7 +69,7 @@ _SETTINGS = {
                 "enable_phi": _BOOL, "enable_sr": _BOOL, "enable_ri": _BOOL,
                 "seed": int, "drop_unchanged": _BOOL,
                 "keep_context_sentences": _BOOL},
-    "experiment": {"alphas": _ALPHAS, "n_seeds": int, "epochs": int},
+    "experiment": {"alphas": _ALPHAS, "n_seeds": _COUNT, "epochs": _COUNT},
 }
 
 
@@ -357,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic site corpus")
     p.add_argument("--site", required=True, choices=["A", "B"])
-    p.add_argument("--docs", type=int, default=200)
-    p.add_argument("--min-sentences", type=int, default=8)
-    p.add_argument("--max-sentences", type=int, default=15)
+    p.add_argument("--docs", type=_COUNT, default=200)
+    p.add_argument("--min-sentences", type=_COUNT, default=8)
+    p.add_argument("--max-sentences", type=_COUNT, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coarse", action="store_true",
                    help="map fine PHI types to coarse categories")
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the baseline tagger")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=_COUNT, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
@@ -399,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--records", default=None)
         else:
             p.set_defaults(arms=",".join(ABLATION_ARMS), records=None)
-        p.add_argument("--fraction", type=float, default=None)
-        p.add_argument("--seeds", dest="n_seeds", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--fraction", type=_FRACTION, default=None)
+        p.add_argument("--seeds", dest="n_seeds", type=_COUNT, default=None)
+        p.add_argument("--epochs", type=_COUNT, default=None)
         _add_augment_flags(p)
         p.set_defaults(func=_cmd_xeval)
 
@@ -409,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--alphas", type=_ALPHAS, default=None, help="e.g. 1,2,3,4")
-    p.add_argument("--seeds", dest="n_seeds", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--seeds", dest="n_seeds", type=_COUNT, default=None)
+    p.add_argument("--epochs", type=_COUNT, default=None)
     _add_augment_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

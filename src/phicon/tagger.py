@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .corpus import (
     Corpus, Label, Sentence, atomic_open, serialize_conll, validate_bio,
@@ -216,85 +217,79 @@ def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
 
 
 # ---------------------------------------------------------------------------
-# Model file format: versioned, line-oriented text.
-#
-#   phicon-tagger <version> <feature template version>
-#   labels <tab-separated label strings>
-#   meta <key>=<value> ...
-#   nweights <count>
-#   <feature>\t<label>\t<weight repr>      (count lines)
-#   end
+# Model file format: versioned, line-oriented text. _file_lines is its one
+# statement: save_model writes its lines, and load_model accepts a file only
+# if the model it reads back renders to the same text.
 
-def save_model(model: TaggerModel, path) -> None:
+def _file_lines(model: TaggerModel):
+    meta = model.training_meta
+    yield (f"{_MODEL_MAGIC} {_MODEL_VERSION} "
+           f"{model.feature_template_version}\n")
+    yield "labels " + "\t".join(model.label_set) + "\n"
+    yield (f"meta epochs={meta.get('epochs', 0)} seed={meta.get('seed', 0)} "
+           f"corpus_fingerprint={meta.get('corpus_fingerprint', '')}\n")
     rows = [f"{feat}\t{lbl}\t{w!r}\n" for feat, d in sorted(model.weights.items())
             for lbl, w in sorted(d.items())]
-    meta = model.training_meta
+    yield f"nweights {len(rows)}\n"
+    yield from rows
+    yield "end\n"
+
+
+def save_model(model: TaggerModel, path) -> None:
     with atomic_open(path) as f:
-        f.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} "
-                f"{model.feature_template_version}\n")
-        f.write("labels " + "\t".join(model.label_set) + "\n")
-        f.write(f"meta epochs={meta.get('epochs', 0)} "
-                f"seed={meta.get('seed', 0)} "
-                f"corpus_fingerprint={meta.get('corpus_fingerprint', '')}\n")
-        f.write(f"nweights {len(rows)}\n")
-        f.writelines(rows)
-        f.write("end\n")
+        f.writelines(_file_lines(model))
 
 
 def load_model(path) -> TaggerModel:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
+    """The model that save_model wrote to path. Besides the format, the
+    labels must parse, the label table must hold O and no label twice, and
+    every weight row's label must be in it and its weight finite."""
     try:
-        magic = lines[0].split(" ")
-        if magic[0] != _MODEL_MAGIC:
+        with open(path, encoding="utf-8") as f:
+            raw = f.readlines()  # ValueError if not UTF-8
+        lines = [line.rstrip("\n") for line in raw]
+        header = lines[0].split(" ")
+        if header[0] != _MODEL_MAGIC:
             raise ModelFormatError(f"not a tagger model file: {path}")
-        if int(magic[1]) != _MODEL_VERSION:
+        if header[1] != str(_MODEL_VERSION):
+            raise ModelFormatError(f"unsupported model version {header[1]} "
+                                   f"(want {_MODEL_VERSION})")
+        if header[2] != FEATURE_TEMPLATE_VERSION:
             raise ModelFormatError(
-                f"unsupported model version {magic[1]} (want {_MODEL_VERSION})")
-        template = magic[2]
-        if template != FEATURE_TEMPLATE_VERSION:
-            raise ModelFormatError(
-                f"unsupported feature template {template} "
+                f"unsupported feature template {header[2]} "
                 f"(want {FEATURE_TEMPLATE_VERSION})")
-        if not lines[1].startswith("labels "):
-            raise ModelFormatError("missing label table")
         label_set = lines[1][len("labels "):].split("\t")
         for lbl in label_set:
             Label.parse(lbl)  # ValueError on a malformed label
         labels = set(label_set)
-        if len(labels) != len(label_set):
-            raise ModelFormatError("duplicate label in the label table")
-        if "O" not in labels:
-            raise ModelFormatError("label table lacks the Outside label O")
-        if not lines[2].startswith("meta "):
-            raise ModelFormatError("missing meta line")
+        if len(labels) != len(label_set) or "O" not in labels:
+            raise ModelFormatError(
+                f"{path}: the label table must hold O and no label twice")
         meta = {}
         for kv in lines[2][len("meta "):].split(" "):
             k, _, v = kv.partition("=")
             meta[k] = int(v) if k in ("epochs", "seed") else v
-        if not lines[3].startswith("nweights "):
-            raise ModelFormatError("missing weight count")
-        n = int(lines[3][len("nweights "):])
-        if n < 0:
-            raise ModelFormatError(f"negative weight count {n}")
         weights: dict[str, dict[str, float]] = {}
-        for lineno in range(5, 5 + n):
-            feat, lbl, w = lines[lineno - 1].split("\t")
-            row = weights.setdefault(feat, {})
-            value = float(w)
+        for lineno, line in enumerate(lines[4:], 5):
+            row = line.split("\t")
+            if len(row) != 3:
+                continue  # not a weight row: the comparison below names it
+            feat, lbl, w = row
             if lbl not in labels:
+                raise ModelFormatError(f"{path} line {lineno}: label {lbl} "
+                                       "is not in the label table")
+            if not math.isfinite(value := float(w)):
                 raise ModelFormatError(
-                    f"line {lineno}: label {lbl} is not in the label table")
-            if lbl in row:
-                raise ModelFormatError(f"line {lineno}: duplicate weight row")
-            if not math.isfinite(value):
-                raise ModelFormatError(
-                    f"line {lineno}: weight {w} is not finite")
-            row[lbl] = value
-        if lines[4 + n] != "end":
-            raise ModelFormatError(f"truncated model file: {path}")
-        if any(lines[5 + n:]):
-            raise ModelFormatError(f"content after end: {path}")
+                    f"{path} line {lineno}: weight {w} is not finite")
+            weights.setdefault(feat, {})[lbl] = value
     except (IndexError, ValueError) as e:
         raise ModelFormatError(f"corrupt model file {path}: {e}") from None
-    return TaggerModel(weights, label_set, template, meta)
+    model = TaggerModel(weights, label_set, header[2], meta)
+    for lineno, (got, exp) in enumerate(
+            zip_longest(raw, _file_lines(model)), 1):
+        if got != exp:
+            got, exp = ("end of file" if s is None else repr(s)
+                        for s in (got, exp))
+            raise ModelFormatError(f"{path} line {lineno}: found {got}, "
+                                   f"where save_model writes {exp}")
+    return model

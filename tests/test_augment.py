@@ -205,7 +205,7 @@ class TestAugmentCorpus:
             corpus, fixture_registry, tsv_provider, AugmentConfig(alpha=0))
         assert merged.documents == corpus.documents and records == []
 
-    def test_jobs_do_not_change_output(self, fixture_registry, tsv_provider):
+    def test_reruns_identical(self, fixture_registry, tsv_provider):
         # augment_corpus is serial; reruns give equal corpora and records.
         corpus = _mini_corpus()
         cfg = AugmentConfig(alpha=3, master_seed=13)

@@ -464,8 +464,32 @@ class TestExitContract:
         (["augment", "--in", "{corpus}", "--out", "{out}"],
          "alpha = 2\n", 1),
         (["augment", "--in", "{latin1}", "--out", "{out}"], None, 1),
+        (["synth", "--site", "A", "--docs", "0", "--out", "{out}"], None, 2),
+        (["synth", "--site", "A", "--min-sentences", "0", "--out", "{out}"],
+         None, 2),
+        (["train", "--in", "{corpus}", "--model", "{out}", "--epochs", "0"],
+         None, 2),
+        (["xeval", "--train", "{corpus}", "--test", "{corpus}",
+          "--seeds", "0"], None, 2),
+        (["ablate", "--train", "{corpus}", "--test", "{corpus}",
+          "--epochs", "0"], None, 2),
+        (["sweep", "--train", "{corpus}", "--dev", "{corpus}",
+          "--seeds", "0"], None, 2),
+        (["sweep", "--train", "{corpus}", "--dev", "{corpus}",
+          "--epochs", "0"], None, 2),
+        (["xeval", "--train", "{corpus}", "--test", "{corpus}",
+          "--fraction", "0"], None, 2),
+        (["ablate", "--train", "{corpus}", "--test", "{corpus}",
+          "--fraction", "1.5"], None, 2),
+        (["xeval", "--train", "{corpus}", "--test", "{corpus}"],
+         "[experiment]\nn_seeds = 0\n", 1),
+        (["sweep", "--train", "{corpus}", "--dev", "{corpus}"],
+         "[experiment]\nepochs = 0\n", 1),
     ], ids=["alpha", "sr-rate", "ratios", "alphas", "config-value",
-            "config-no-section", "non-utf8-input"])
+            "config-no-section", "non-utf8-input", "synth-docs",
+            "synth-min-sentences", "train-epochs", "xeval-seeds",
+            "ablate-epochs", "sweep-seeds", "sweep-epochs", "fraction-0",
+            "fraction-1.5", "config-n-seeds", "config-epochs"])
     def test_bad_value_or_file(self, small_conll, tmp_path, capsys, argv,
                                config, code):
         latin1 = tmp_path / "latin1.conll"
@@ -665,3 +689,63 @@ def test_property_exit_code_and_no_traceback(property_paths, data, header,
         os.chdir(cwd)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# Random one-line edits of a saved model file: whatever they leave, the file
+# either loads to a model that save_model writes back byte for byte, or it is
+# rejected, and eval then prints one error line.
+_MODEL_TEXT = st.text(alphabet="ab\t =.-019eOBI", max_size=6)
+
+
+@st.composite
+def _edited_model(draw, lines):
+    """The saved model's text with one line deleted, duplicated or
+    replaced, or cut short."""
+    text = "".join(lines)
+    edit = draw(st.sampled_from(["delete", "duplicate", "replace", "cut"]))
+    if edit == "cut":
+        return text[:draw(st.integers(0, len(text)))]
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    if edit == "delete":
+        new = []
+    elif edit == "duplicate":
+        new = [line, line]
+    else:  # another line, new text, or a few characters of it changed
+        j = draw(st.integers(0, len(line)))
+        new = [draw(st.one_of(
+            st.sampled_from(lines), _MODEL_TEXT.map(lambda s: s + "\n"),
+            _MODEL_TEXT.map(lambda s: line[:j] + s + line[j + 1:])))]
+    return "".join(lines[:i] + new + lines[i + 1:])
+
+
+@pytest.fixture(scope="module")
+def saved_model_lines(property_paths):
+    root, paths = property_paths
+    model = root / "model.txt"
+    assert run(["train", "--in", paths["corpus"], "--model", str(model),
+                "--epochs", "2"]) == 0
+    return model.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_property_model_file_loads_exactly_or_is_rejected(
+        property_paths, saved_model_lines, data):
+    root, paths = property_paths
+    path, resaved = root / "edited.txt", root / "resaved.txt"
+    path.write_bytes(data.draw(_edited_model(saved_model_lines)).encode())
+    try:
+        model = phicon.load_model(path)
+    except phicon.ModelFormatError:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(["eval", "--model", str(path),
+                        "--test", paths["corpus"]])
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1, err.getvalue()
+        assert lines[0].startswith("error:")
+    else:
+        phicon.save_model(model, resaved)
+        assert resaved.read_bytes() == path.read_bytes()

@@ -213,14 +213,16 @@ class TestModelFile:
     @pytest.mark.parametrize("case", [
         "unknown-label", "nan-weight", "inf-weight", "duplicate-row",
         "content-after-end", "duplicate-label", "no-outside-label",
-        "negative-count"])
+        "negative-count", "repeated-meta-key", "unknown-meta-key",
+        "empty-meta", "extra-header-field", "non-repr-float", "swapped-rows",
+        "blank-line-after-end", "leading-zero-epochs", "non-utf8"])
     def test_defect_rejected(self, tmp_path, capsys, case):
-        # Each of these used to load (or raise a bare PhiconError) and so
-        # gave a model whose weights differ from the file's.
+        # Each of these used to load (or raise a bare PhiconError or
+        # UnicodeDecodeError), and save_model would not write it back.
         corpus = _train_corpus()
         path = tmp_path / "model.txt"
         save_model(train(corpus, epochs=1, seed=0), path)
-        path.write_text(_corrupt(path.read_text().split("\n"), case))
+        path.write_bytes(_corrupt(path.read_text().split("\n"), case))
         with pytest.raises(ModelFormatError):
             load_model(path)
         gold = tmp_path / "gold.conll"
@@ -232,7 +234,8 @@ class TestModelFile:
 
 
 def _corrupt(lines, case):
-    """A saved model's lines joined back, with one defect named by case."""
+    """A saved model's lines joined back as UTF-8 bytes, with one defect
+    named by case (a lone surrogate stands for a stray non-UTF-8 byte)."""
     feat, lbl, w = lines[4].split("\t")
     labels = lines[1][len("labels "):].split("\t")
     n = int(lines[3][len("nweights "):])
@@ -248,8 +251,18 @@ def _corrupt(lines, case):
             x for x in labels if x != "O")},
         # lines[4 + n] is then the final "end", and every row is skipped
         "negative-count": {3: "nweights -6"},
+        "repeated-meta-key": {2: lines[2] + " epochs=7"},
+        "unknown-meta-key": {2: lines[2] + " bogus=1"},
+        "empty-meta": {2: "meta "},
+        "extra-header-field": {0: lines[0] + " extra"},
+        "non-repr-float": {4: f"{feat}\t{lbl}\t{float(w):.17e}"},
+        "swapped-rows": {4: lines[5], 5: lines[4]},
+        "blank-line-after-end": {4 + n: "end\n"},
+        "leading-zero-epochs": {2: lines[2].replace("epochs=", "epochs=0")},
+        "non-utf8": {4: f"{feat}\udce9\t{lbl}\t{w}"},
     }[case]
-    return "\n".join(edits.get(i, line) for i, line in enumerate(lines))
+    return "\n".join(edits.get(i, line) for i, line in enumerate(lines)
+                     ).encode("utf-8", "surrogateescape")
 
 
 class _FailingMeta(dict):
