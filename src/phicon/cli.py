@@ -62,7 +62,8 @@ _BOOL = _arg_type(
     lambda v: v is not None, "one of 1/yes/true/on or 0/no/false/off")
 
 # Every config key some command reads, with the type that parses its value.
-# A flag of the same name (dest) wins over the key.
+# A flag of the same name (dest) wins over the key. Each generator-backed
+# <Type> has a [generator.<Type>] section with the "generator" keys.
 _SETTINGS = {
     "paths": {"lexicon_dir": str, "synonyms": str},
     "augment": {"alpha": _ALPHA, "sr_rate": _RATE, "ri_rate": _RATE,
@@ -70,45 +71,26 @@ _SETTINGS = {
                 "seed": int, "drop_unchanged": _BOOL,
                 "keep_context_sentences": _BOOL},
     "experiment": {"alphas": _ALPHAS, "n_seeds": _COUNT, "epochs": _COUNT},
+    "generator": {
+        "patterns": lambda raw: tuple(filter(None, raw.splitlines())),
+        "weights": lambda raw: tuple(map(float, raw.split())),
+        "count": _COUNT, "seed": int},
 }
 
 
 def load_config(path) -> dict:
-    """Parse the INI config; unknown sections or keys are rejected.
-
-    Sections: [paths], [augment], [experiment], and one [generator.<Type>]
-    per generator-backed PHI type with keys patterns, weights, count, seed.
-    Pattern lists are newline-separated inside a key.
-    """
+    """The INI config as {section: {key: raw string}}; unknown sections or
+    keys are rejected. Values are typed where a command reads them."""
     cp = configparser.ConfigParser()
     if not cp.read(path, encoding="utf-8"):
         raise PhiconError(f"config file not found: {path}")
-    out: dict = {"generators": {}}
+    out = {}
     for section in cp.sections():
-        if section.startswith("generator."):
-            phi_type = section[len("generator."):]
-            if phi_type not in DEFAULT_GENERATOR_SPECS:
-                raise PhiconError(
-                    f"[{section}]: {phi_type} is not a generator-backed type")
-            keys = set(cp[section]) - {"patterns", "weights", "count", "seed"}
-            if keys:
-                raise PhiconError(f"unknown keys {sorted(keys)} in [{section}]")
-            count = cp[section].getint("count", fallback=None)
-            if count is not None and count < 1:
-                raise PhiconError(f"[{section}] count: expected an integer "
-                                  f">= 1, got {count}")
-            patterns = tuple(
-                p for p in cp[section].get("patterns", "").splitlines() if p)
-            weights = tuple(
-                float(w) for w in cp[section].get("weights", "").split() if w)
-            out["generators"][phi_type] = {
-                "patterns": patterns,
-                "weights": weights,
-                "count": count,
-                "seed": cp[section].getint("seed", fallback=0),
-            }
-            continue
-        allowed = _SETTINGS.get(section)
+        kind, _, phi_type = section.partition(".")
+        if kind == "generator" and phi_type not in DEFAULT_GENERATOR_SPECS:
+            raise PhiconError(
+                f"[{section}]: {phi_type!r} is not a generator-backed type")
+        allowed = _SETTINGS.get(kind if kind == "generator" else section)
         if allowed is None:
             raise PhiconError(f"unknown config section [{section}]")
         unknown = set(cp[section]) - allowed.keys()
@@ -119,7 +101,7 @@ def load_config(path) -> dict:
 
 
 def _setting(args, config, section: str, key: str):
-    """The flag if given, else the typed config value, else None."""
+    """The flag (args may be None), else the typed config value, else None."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
@@ -127,7 +109,7 @@ def _setting(args, config, section: str, key: str):
     if raw is None:
         return None
     try:
-        return _SETTINGS[section][key](raw)
+        return _SETTINGS[section.partition(".")[0]][key](raw)
     except (ValueError, argparse.ArgumentTypeError) as e:
         raise PhiconError(f"[{section}] {key}: {e}") from None
 
@@ -146,19 +128,27 @@ def _augment_config(args, config) -> AugmentConfig:
     return AugmentConfig(**given)
 
 
-def _generator_spec(phi_type: str, section: dict) -> GeneratorSpec:
-    """The spec of a [generator.<Type>] section with patterns, else the
-    type's default spec."""
-    if section.get("patterns"):
-        return GeneratorSpec(phi_type, section["patterns"], section["weights"])
-    return DEFAULT_GENERATOR_SPECS[phi_type]
+def _generator(args, config, phi_type: str):
+    """(spec, settings given) of the [generator.<Type>] section; without
+    patterns the spec is the type's default one."""
+    section = f"generator.{phi_type}"
+    given = _given(args, config, section, _SETTINGS["generator"])
+    try:
+        if given.get("patterns"):
+            return GeneratorSpec(phi_type, given["patterns"],
+                                 given.get("weights", ())), given
+        if given.get("weights"):
+            raise ValueError("weights given without patterns")
+    except ValueError as e:
+        raise PhiconError(f"[{section}]: {e}") from None
+    return DEFAULT_GENERATOR_SPECS[phi_type], given
 
 
 def _build_registry(args, config) -> LexiconRegistry:
     """The builtin registry with the configured pools swapped in. Per PHI
     type the first of these wins: a [generator.<Type>] patterns section, a
     <Type>.txt in the lexicon dir, a count-only section, the builtin pool.
-    The registry seed is the augmentation seed."""
+    The registry seed is the augmentation seed; sections take no flag."""
     seed = _augment_config(args, config).master_seed
     lexicon_dir = _setting(args, config, "paths", "lexicon_dir")
     lexicons = {}
@@ -167,13 +157,17 @@ def _build_registry(args, config) -> LexiconRegistry:
             if name.endswith(".txt"):
                 lexicons[name[:-4]] = load_lexicon(
                     os.path.join(lexicon_dir, name), name[:-4])
-    for phi_type, g in config.get("generators", {}).items():
-        spec = _generator_spec(phi_type, g)
-        if g["patterns"]:
+    for section in config:
+        kind, _, phi_type = section.partition(".")
+        if kind != "generator":
+            continue
+        spec, given = _generator(None, config, phi_type)
+        if given.get("patterns"):
             lexicons[phi_type] = generate_identifiers(
-                spec, g["count"] or 2000, g["seed"])
-        elif g["count"] and phi_type not in lexicons:
-            lexicons[phi_type] = generate_identifiers(spec, g["count"], seed)
+                spec, given.get("count", 2000), given.get("seed", 0))
+        elif "count" in given and phi_type not in lexicons:
+            lexicons[phi_type] = generate_identifiers(
+                spec, given["count"], seed)
     return builtin_registry(seed=seed, lexicons=lexicons)
 
 
@@ -215,12 +209,10 @@ def _cmd_augment(args, config):
 
 
 def _cmd_gen_lexicon(args, config):
-    section = config.get("generators", {}).get(args.type, {})
-    spec = _generator_spec(args.type, section)
-    count = (args.count or section.get("count")
-             or DEFAULT_GENERATED_COUNTS[args.type])
-    seed = args.seed if args.seed is not None else section.get("seed", 0)
-    lexicon = generate_identifiers(spec, count, seed)
+    spec, given = _generator(args, config, args.type)
+    lexicon = generate_identifiers(
+        spec, given.get("count", DEFAULT_GENERATED_COUNTS[args.type]),
+        given.get("seed", 0))
     with atomic_open(args.outfile) as f:
         for entry in lexicon.entries:
             f.write(entry + "\n")

@@ -147,8 +147,8 @@ class GeneratorSpec:
             object.__setattr__(self, "weights", (1.0,) * len(self.patterns))
         if len(self.weights) != len(self.patterns):
             raise ValueError("one weight per pattern required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if not all(0 < w < float("inf") for w in self.weights):
+            raise ValueError("weights must be positive and finite")
 
 
 DEFAULT_GENERATOR_SPECS = {

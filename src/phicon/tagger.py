@@ -236,8 +236,15 @@ def _file_lines(model: TaggerModel):
 
 
 def save_model(model: TaggerModel, path) -> None:
+    """Write model to path unless load_model would not read it back equal."""
     with atomic_open(path) as f:
         f.writelines(_file_lines(model))
+        f.flush()
+        try:
+            if load_model(f.name) != model:
+                raise ModelFormatError("it would reload as a different model")
+        except ModelFormatError as e:
+            raise ModelFormatError(f"cannot save {path}: {e}") from None
 
 
 def load_model(path) -> TaggerModel:

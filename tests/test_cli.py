@@ -52,8 +52,9 @@ class TestConfig:
     def test_example_config_loads(self):
         config = load_config(os.path.join(REPO_ROOT, "config.example.ini"))
         assert config["augment"]["alpha"] == "2"
-        assert config["generators"]["Zip"]["patterns"] == (r"\d{5}",)
-        assert config["generators"]["Zip"]["count"] == 1000
+        assert cli._setting(None, config, "generator.Zip", "patterns") == \
+            (r"\d{5}",)
+        assert cli._setting(None, config, "generator.Zip", "count") == 1000
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -136,10 +137,22 @@ class TestConfig:
         "[generator.Bogus]\n",
         "[generator.Zip]\ncount = 0\n",
         "[generator.Zip]\npatterns =\n    \\d{5}\ncount = -1\n",
-    ], ids=["curated-type", "unknown-type", "count-zero", "count-negative"])
+        "[generator.Zip]\nseed = abc\n",
+        "[generator.Zip]\ncount = x\n",
+        "[generator.Phone]\npatterns =\n    \\d{3}\n    \\d{4}\n"
+        "weights = nan 1\n",
+        "[generator.Phone]\npatterns =\n    \\d{3}\n    \\d{4}\n"
+        "weights = inf 1\n",
+        "[generator.Zip]\npatterns =\n    \\d{5}\nweights = -1\n",
+        "[generator.Zip]\npatterns =\n    \\d{5}\nweights = 1 2\n",
+        "[generator.Zip]\nweights = 2\n",
+    ], ids=["curated-type", "unknown-type", "count-zero", "count-negative",
+            "seed-not-int", "count-not-int", "weight-nan", "weight-inf",
+            "weight-negative", "weight-count", "weights-without-patterns"])
     def test_bad_generator_section(self, small_conll, tmp_path, capsys, text):
-        # Each used to augment with exit 0, the section ignored (or, for a
-        # negative count, fail with a message that names no section).
+        # Each used to augment with exit 0, the section ignored or a NaN or
+        # infinite weight taken, or fail with a message that names no
+        # section.
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(text)
         out = tmp_path / "aug.conll"
@@ -149,6 +162,19 @@ class TestConfig:
         assert err.startswith("error: [generator.")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_generator_value_checked_when_read(self, small_conll, tmp_path):
+        # A section value is typed only by a command that reads it, and a
+        # flag that wins leaves the section value unread.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Zip]\nseed = abc\n")
+        assert run(["--config", str(cfg), "stats",
+                    "--in", str(small_conll)]) == 0
+        out, ref = tmp_path / "zips.txt", tmp_path / "ref.txt"
+        for path, config in ((out, ["--config", str(cfg)]), (ref, [])):
+            assert run(config + ["gen-lexicon", "--type", "Zip", "--count",
+                                 "20", "--seed", "4", "--out", str(path)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestSynthSplitStats:
@@ -559,9 +585,14 @@ class TestBuildRegistry:
                        "[generator.Username]\npatterns =\n    u\\d{4}\n"
                        "[generator.Phone]\ncount = 50\n"
                        "[generator.Date]\ncount = 60\n")
-        config = load_config(cfg)
-        registry = cli._build_registry(self._args(lexdir), config)
-        reference = _ref_build_registry(4, lexdir, config["generators"])
+        registry = cli._build_registry(self._args(lexdir), load_config(cfg))
+        reference = _ref_build_registry(4, lexdir, {
+            "Zip": {"patterns": (r"9\d{4}",), "weights": (), "count": 300,
+                    "seed": 0},
+            "Username": {"patterns": (r"u\d{4}",), "weights": (),
+                         "count": None, "seed": 0},
+            "Phone": {"patterns": (), "weights": (), "count": 50, "seed": 0},
+            "Date": {"patterns": (), "weights": (), "count": 60, "seed": 0}})
         assert registry.by_fine == reference.by_fine
         assert list(registry.by_fine) == list(reference.by_fine)
         assert registry.by_fine["Patient"].entries == ("Zebulon", "Quincy")

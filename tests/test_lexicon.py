@@ -81,6 +81,16 @@ class TestGenerateIdentifiers:
             d = datetime.date.fromisoformat(entry)
             assert 1950 <= d.year <= 2020
 
+    @pytest.mark.parametrize("weights", [
+        (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
+        (1.0, float("inf"))], ids=["nan-first", "nan-last", "inf-first",
+                                   "inf-last"])
+    def test_bad_weights_rejected(self, weights):
+        # Each used to pass; with a NaN weight weighted_choice then always
+        # picked the last pattern.
+        with pytest.raises(ValueError):
+            phicon.GeneratorSpec("Zip", (r"\d{5}", r"9\d{4}"), weights)
+
 
 class TestSampleEntity:
     def test_singleton(self):

@@ -287,6 +287,36 @@ class TestAtomicSave:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.txt"]
 
+    @pytest.mark.parametrize("case", [
+        "space-in-fingerprint", "cr-in-feature", "tab-in-feature",
+        "nan-weight", "label-not-in-table", "template-ft2", "extra-meta-key"])
+    def test_unreloadable_model_refused(self, tmp_path, case):
+        # Each used to save a file that load_model then rejected, or (the
+        # extra meta key) reloaded as a different model.
+        meta = {"epochs": 1, "seed": 0, "corpus_fingerprint": "abc"}
+        weights, labels, template = {"w=a": {"O": 1.5}}, ["O"], "ft1"
+        if case == "space-in-fingerprint":
+            meta["corpus_fingerprint"] = "a b"
+        elif case == "cr-in-feature":
+            weights = {"w=a\rb": {"O": 1.5}}
+        elif case == "tab-in-feature":
+            weights = {"w=a\tb": {"O": 1.5}}
+        elif case == "nan-weight":
+            weights = {"w=a": {"O": float("nan")}}
+        elif case == "label-not-in-table":
+            weights = {"w=a": {"B-Date": 1.5}}
+        elif case == "template-ft2":
+            template = "ft2"
+        else:
+            meta["extra"] = "x"
+        path = tmp_path / "model.txt"
+        save_model(train(_train_corpus(), epochs=1, seed=0), path)
+        before = path.read_bytes()
+        with pytest.raises(ModelFormatError):
+            save_model(TaggerModel(weights, labels, template, meta), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.txt"]
+
     def test_overwrite_leaves_one_file(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(train(_train_corpus(), epochs=1, seed=0), path)
