@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -27,6 +28,7 @@ _MODEL_VERSION = 1
 
 _START = "<S>"
 _END = "</S>"
+_BIAS = 1 << 40  # added to every 64-bit weight field of a training row
 
 
 def _shape(word: str) -> str:
@@ -111,16 +113,14 @@ def _bio_masks(label_set):
                    for prev in types}
 
 
-def _decode(rows, types, masks, feats):
-    """Greedy masked decode of one sentence, yielding label indices: a token
-    scores the sum of its features' rows (weights by label index) in feature
-    order, and ties go to the earlier label. Lazy, so that training can
-    update rows between tokens."""
+def _decode(score, types, masks, feats):
+    """Greedy masked decode of one sentence, yielding label indices: score(fs)
+    is a token's scores by label index (empty: no weighted feature), and ties
+    go to the earlier label. Lazy, so training can update rows in between."""
     allowed = masks[None]
     for fs in feats:
-        hit = [r for r in map(rows.get, fs) if r]
-        best = (max(allowed, key=[*map(sum, zip(*hit))].__getitem__)
-                if hit else allowed[0])
+        scores = score(fs)
+        best = max(allowed, key=scores.__getitem__) if scores else allowed[0]
         yield best
         allowed = masks[types[best]]
 
@@ -129,13 +129,17 @@ def corpus_fingerprint(corpus: Corpus) -> str:
     return hashlib.sha256(serialize_conll(corpus).encode("utf-8")).hexdigest()[:16]
 
 
-def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
-    """Averaged-perceptron training with seeded per-epoch shuffling."""
+def train(corpus: Corpus, epochs: int = 5, seed: int = 0, *,
+          known=None) -> TaggerModel:
+    """Averaged-perceptron training with seeded per-epoch shuffling. known
+    maps id(s) of sentences the caller keeps alive to their token features."""
     if epochs < 1:
         raise PhiconError("epochs must be >= 1")
     sentences = [s for s in corpus.sentences() if len(s) > 0]
     if not sentences:
         raise PhiconError("cannot train on an empty corpus")
+    if epochs * sum(map(len, sentences)) >= _BIAS:  # a field could overflow
+        raise PhiconError("too many epochs x tokens for the weight fields")
 
     seen = dict.fromkeys(str(t.label) for sent in sentences for t in sent.tokens)
     label_set = ["O"] + [lbl for lbl in seen if lbl != "O"]
@@ -144,14 +148,23 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     n = len(label_set)
 
     # Featurize once; features do not depend on decoding state.
-    data = [(fs, [index[str(t.label)] for t in sent.tokens])
-            for sent, fs in zip(sentences, featurize_sentences(sentences))]
+    memo: dict[str, str] = {}
+    data = [((known or {}).get(id(sent)) or _features(sent, memo),
+             [index[str(t.label)] for t in sent.tokens]) for sent in sentences]
 
-    # Two rows per feature, indexed by label, created at its first update:
-    # the weights, and each update summed weighted by its step. The Collins
-    # (2002) average over all steps is then (step * w - u) / step; every
-    # value is an integer-valued float far below 2**53, so it is exact.
+    # Weights stay whole while training, so a feature's row is one int of n
+    # 64-bit fields, bits 64i on holding label i's weight + _BIAS. A sum of k
+    # rows is exact, every field off by the same k * _BIAS, so picks and ties
+    # hold. u sums each update times its step; the Collins (2002) average
+    # (step * w - u) / step is exact, all values being far below 2**53.
+    fields = struct.Struct(f"<{n}Q").unpack
+    fresh = sum(_BIAS << 64 * i for i in range(n))
     weights, updates = {}, {}
+
+    def score(fs):
+        row = sum(filter(None, map(weights.get, fs)))
+        return fields(row.to_bytes(8 * n, "little"))
+
     step = 0
     order = list(range(len(data)))
     for epoch in range(epochs):
@@ -161,25 +174,24 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
             # Decode greedily from the model's own predictions so training
             # sees the same conditions as inference.
             for fs, gold, pred in zip(feats, golds,
-                                      _decode(weights, types, masks, feats)):
+                                      _decode(score, types, masks, feats)):
                 step += 1
                 if pred == gold:
                     continue
+                delta = (1 << 64 * gold) - (1 << 64 * pred)
                 for f in fs:
-                    w = weights.get(f)
-                    if w is None:
-                        w = weights[f] = [0.0] * n
-                        updates[f] = [0.0] * n
+                    if f not in weights:
+                        weights[f], updates[f] = fresh, [0.0] * n
+                    weights[f] += delta
                     u = updates[f]
-                    for li, delta in ((gold, 1.0), (pred, -1.0)):
-                        w[li] += delta
-                        u[li] += step * delta
+                    u[gold] += step
+                    u[pred] -= step
 
     averaged: dict[str, dict[str, float]] = {}
-    for feat, w in weights.items():
-        u = updates[feat]
+    for feat, row in weights.items():
+        w, u = fields(row.to_bytes(8 * n, "little")), updates[feat]
         avg = {label_set[i]: v for i in range(n)
-               if (v := (step * w[i] - u[i]) / step)}
+               if (v := (step * (w[i] - _BIAS) - u[i]) / step)}
         if avg:
             averaged[feat] = avg
 
@@ -195,14 +207,26 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     )
 
 
-def predict_features(model: TaggerModel, corpus_feats) -> list[list[Label]]:
+def predict_features(model: TaggerModel, corpus_feats,
+                     memoize: bool = False) -> list[list[Label]]:
     """One label list per featurized sentence (see featurize_sentences); the
-    scoring path of predict and predict_corpus too."""
+    scoring path of predict and predict_corpus too. memoize scores each
+    distinct feature list once, and holds the scores until the call ends."""
     rows = {f: [d.get(lbl, 0.0) for lbl in model.label_set]
             for f, d in model.weights.items()}
+    memo: dict[tuple, list] = {}
+
+    def score(fs):  # float sums, in feature order
+        return [*map(sum, zip(*[r for r in map(rows.get, fs) if r]))]
+
+    def memoized(fs):
+        if (key := tuple(fs)) not in memo:
+            memo[key] = score(fs)
+        return memo[key]
     types, masks = _bio_masks(model.label_set)
     labels = [Label.parse(lbl) for lbl in model.label_set]
-    return [[labels[i] for i in _decode(rows, types, masks, feats)]
+    return [[labels[i] for i in _decode(memoized if memoize else score,
+                                         types, masks, feats)]
             for feats in corpus_feats]
 
 
@@ -241,7 +265,7 @@ def save_model(model: TaggerModel, path) -> None:
         f.writelines(_file_lines(model))
         f.flush()
         try:
-            if load_model(f.name) != model:
+            if _read_model(f.name, path) != model:
                 raise ModelFormatError("it would reload as a different model")
         except ModelFormatError as e:
             raise ModelFormatError(f"cannot save {path}: {e}") from None
@@ -251,8 +275,12 @@ def load_model(path) -> TaggerModel:
     """The model that save_model wrote to path. Besides the format, the
     labels must parse, the label table must hold O and no label twice, and
     every weight row's label must be in it and its weight finite."""
+    return _read_model(path, path)
+
+
+def _read_model(file, path) -> TaggerModel:  # load_model, calling file path
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(file, encoding="utf-8") as f:
             raw = f.readlines()  # ValueError if not UTF-8
         lines = [line.rstrip("\n") for line in raw]
         header = lines[0].split(" ")
@@ -297,6 +325,6 @@ def load_model(path) -> TaggerModel:
         if got != exp:
             got, exp = ("end of file" if s is None else repr(s)
                         for s in (got, exp))
-            raise ModelFormatError(f"{path} line {lineno}: found {got}, "
-                                   f"where save_model writes {exp}")
+            raise ModelFormatError(
+                f"{path} line {lineno}: found {got}, expected {exp}")
     return model

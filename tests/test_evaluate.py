@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phicon
-from phicon.augment import AugmentConfig
-from phicon.corpus import Corpus, Document, Label
+from phicon.augment import AugmentConfig, augment_corpus
+from phicon.corpus import Corpus, Document, Label, Sentence
 from phicon.errors import PhiconError
 from phicon import evaluate, tagger
 from phicon.evaluate import (
@@ -165,26 +165,49 @@ class TestCrossDatasetEval:
                                    arms, **args) for _ in range(2))
         assert a == b
 
+    @pytest.fixture(scope="class")
+    def fine_sites(self):
+        profile_a, profile_b = phicon.builtin_profiles()
+        return (phicon.generate_corpus(profile_a, 40, (8, 15), seed=11),
+                phicon.generate_corpus(profile_b, 20, (8, 15), seed=22))
+
     def test_shared_test_features_match_per_run_prediction(
-            self, site_splits, builtin_registry_s, builtin_provider_s):
-        # The test corpus is featurized once and read by every (seed, arm)
-        # run; scores must equal those of a fresh predict_corpus per run,
-        # and a rerun must not see features changed by the first run.
-        train, test = site_splits["train_a"], site_splits["dev_b"]
-        args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
-                    registry=builtin_registry_s, provider=builtin_provider_s)
-        arms = [("baseline", None), ("phicon", AugmentConfig(alpha=1)),
-                ("other", None)]
-        serial = cross_dataset_eval(train, test, arms, **args)
-        assert cross_dataset_eval(train, test, arms, **args) == serial
-        for s in (1, 2):
-            sub = _subsample(train, 0.2, derive_seed(evaluate._SUBSAMPLE_SALT, s))
-            model = tagger.train(sub, epochs=2,
-                                 seed=derive_seed(evaluate._TAGGER_SALT, s))
-            expected = binary_token_f1(
-                test, tagger.predict_corpus(model, test)).micro_f1
-            assert serial.arms["baseline"][s - 1] == expected
-            assert serial.arms["other"][s - 1] == expected
+            self, site_splits, fine_sites, builtin_registry_s,
+            builtin_provider_s):
+        # The test corpus and the training sentences are featurized once and
+        # read by every (seed, arm) run, which also scores each distinct test
+        # feature list once per model. Scores must equal those of a fresh
+        # augment_corpus, train and predict_corpus per run, and a rerun must
+        # not see features changed by the first run. Every training document
+        # holds an empty sentence, which training skips.
+        phicon_cfg = AugmentConfig(alpha=1)
+        arms = [("baseline", None), ("phicon", phicon_cfg), ("other", None)]
+        for train, test in [(site_splits["train_a"], site_splits["dev_b"]),
+                            fine_sites]:
+            train = Corpus(tuple(
+                Document(d.id, d.sentences[:1] + (Sentence(()),)
+                         + d.sentences[1:]) for d in train.documents),
+                train.taxonomy)
+            args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
+                        registry=builtin_registry_s,
+                        provider=builtin_provider_s)
+            serial = cross_dataset_eval(train, test, arms, **args)
+            assert cross_dataset_eval(train, test, arms, **args) == serial
+            for s in (1, 2):
+                sub = _subsample(train, 0.2,
+                                 derive_seed(evaluate._SUBSAMPLE_SALT, s))
+                augmented, _ = augment_corpus(
+                    sub, builtin_registry_s, builtin_provider_s,
+                    replace(phicon_cfg, master_seed=derive_seed(
+                        phicon_cfg.master_seed, s)))
+                for name, corpus in (("baseline", sub), ("other", sub),
+                                     ("phicon", augmented)):
+                    model = tagger.train(
+                        corpus, epochs=2,
+                        seed=derive_seed(evaluate._TAGGER_SALT, s))
+                    expected = binary_token_f1(
+                        test, tagger.predict_corpus(model, test)).micro_f1
+                    assert serial.arms[name][s - 1] == expected, name
 
     def test_duplicate_arm_names_rejected_before_training(
             self, site_splits, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phicon
+from phicon import tagger
 from phicon.cli import run
 from phicon.corpus import Corpus, Document, Label, validate_bio
 from phicon.errors import ModelFormatError, PhiconError
@@ -111,6 +112,23 @@ class TestTraining:
     def test_bad_epochs(self):
         with pytest.raises(PhiconError):
             train(_train_corpus(), epochs=0)
+
+    def test_weight_field_overflow_rejected_before_epoch_1(self, monkeypatch):
+        # No weight moves by more than epochs x tokens, so the smallest field
+        # bias above that trains the same model; at that bound training
+        # refuses before its first epoch shuffle.
+        corpus = _train_corpus()
+        bound = 3 * corpus.token_count()
+        model = train(corpus, epochs=3, seed=1)
+        monkeypatch.setattr(tagger, "_BIAS", bound + 1)
+        assert train(corpus, epochs=3, seed=1) == model
+
+        def no_epoch(seed):
+            raise AssertionError("an epoch started")
+        monkeypatch.setattr(tagger, "_BIAS", bound)
+        monkeypatch.setattr(tagger, "RandomStream", no_epoch)
+        with pytest.raises(PhiconError, match="epochs x tokens"):
+            train(corpus, epochs=3, seed=1)
 
 
 class TestPrediction:
@@ -317,6 +335,17 @@ class TestAtomicSave:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.txt"]
 
+    def test_refusal_names_the_target_and_the_line(self, tmp_path):
+        # The refusal used to name the deleted temp file.
+        meta = {"epochs": 1, "seed": 0, "corpus_fingerprint": "a b"}
+        path = tmp_path / "x.model"
+        with pytest.raises(ModelFormatError) as err:
+            save_model(TaggerModel({"w=a": {"O": 1.5}}, ["O"], "ft1", meta),
+                       path)
+        assert str(err.value).startswith(
+            f"cannot save {path}: {path} line 3: found 'meta ")
+        assert ".tmp" not in str(err.value)
+
     def test_overwrite_leaves_one_file(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(train(_train_corpus(), epochs=1, seed=0), path)
@@ -430,24 +459,39 @@ def fixture_corpora():
                        phicon.map_to_coarse(fine_b))}
 
 
+def _assert_matches_reference(train_c, test_c, epochs, seed, tmp_path):
+    ref = _ref_train(train_c, epochs=epochs, seed=seed)
+    model = train(train_c, epochs=epochs, seed=seed)
+    assert model.weights == ref.weights
+    assert model.label_set == ref.label_set
+    assert model.training_meta == ref.training_meta
+    save_model(ref, tmp_path / "ref.txt")
+    save_model(model, tmp_path / "model.txt")
+    assert (tmp_path / "model.txt").read_bytes() == \
+        (tmp_path / "ref.txt").read_bytes()
+    expected = [_ref_predict(ref, s) for s in test_c.sentences()]
+    assert predict_corpus(model, test_c) == expected
+    feats = featurize_sentences(test_c.sentences())
+    assert predict_features(model, feats) == expected
+    assert predict_features(model, feats, memoize=True) == expected
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("labels", ["fine", "coarse"])
     def test_train_save_predict_identical(self, fixture_corpora, labels,
                                           tmp_path):
         train_c, test_c = fixture_corpora[labels]
-        ref = _ref_train(train_c, epochs=3, seed=4)
-        model = train(train_c, epochs=3, seed=4)
-        assert model.weights == ref.weights
-        assert model.label_set == ref.label_set
-        assert model.training_meta == ref.training_meta
-        save_model(ref, tmp_path / "ref.txt")
-        save_model(model, tmp_path / "model.txt")
-        assert (tmp_path / "model.txt").read_bytes() == \
-            (tmp_path / "ref.txt").read_bytes()
-        expected = [_ref_predict(ref, s) for s in test_c.sentences()]
-        assert predict_corpus(model, test_c) == expected
-        feats = featurize_sentences(test_c.sentences())
-        assert predict_features(model, feats) == expected
+        _assert_matches_reference(train_c, test_c, 3, 4, tmp_path)
+
+    @pytest.mark.parametrize("labels", ["fine", "coarse"])
+    def test_large_corpus_identical(self, labels, tmp_path):
+        # 60 documents at 5 epochs: weights grow large, and labels tie.
+        profile_a, profile_b = phicon.builtin_profiles()
+        train_c = phicon.generate_corpus(profile_a, 60, (8, 15), seed=33)
+        test_c = phicon.generate_corpus(profile_b, 30, (8, 15), seed=44)
+        if labels == "coarse":
+            train_c, test_c = map(phicon.map_to_coarse, (train_c, test_c))
+        _assert_matches_reference(train_c, test_c, 5, 6, tmp_path)
 
     def test_tutorial_corpus_identical(self):
         corpus = _train_corpus()
