@@ -52,7 +52,8 @@ def _arg_type(cast, check, expected: str):
 _ALPHA = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
 _RATE = _arg_type(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _ALPHAS = _arg_type(lambda raw: [int(a) for a in raw.split(",")],
-                    lambda v: min(v) >= 0, "comma-separated integers >= 0")
+                    lambda v: min(v) >= 0 and len(set(v)) == len(v),
+                    "distinct comma-separated integers >= 0")
 _RATIOS = _arg_type(lambda raw: tuple(float(x) for x in raw.split(",")),
                     lambda v: True, "comma-separated numbers")
 _COUNT = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
@@ -147,8 +148,9 @@ def _generator(args, config, phi_type: str):
 def _build_registry(args, config) -> LexiconRegistry:
     """The builtin registry with the configured pools swapped in. Per PHI
     type the first of these wins: a [generator.<Type>] patterns section, a
-    <Type>.txt in the lexicon dir, a count-only section, the builtin pool.
-    The registry seed is the augmentation seed; sections take no flag."""
+    <Type>.txt in the lexicon dir, a section with a count but no patterns,
+    the builtin pool. A section's own seed wins over the registry seed (the
+    augmentation seed); sections take no flag."""
     seed = _augment_config(args, config).master_seed
     lexicon_dir = _setting(args, config, "paths", "lexicon_dir")
     lexicons = {}
@@ -167,7 +169,10 @@ def _build_registry(args, config) -> LexiconRegistry:
                 spec, given.get("count", 2000), given.get("seed", 0))
         elif "count" in given and phi_type not in lexicons:
             lexicons[phi_type] = generate_identifiers(
-                spec, given["count"], seed)
+                spec, given["count"], given.get("seed", seed))
+        elif "seed" in given and "count" not in given:
+            raise PhiconError(
+                f"[{section}]: seed given without patterns or count")
     return builtin_registry(seed=seed, lexicons=lexicons)
 
 

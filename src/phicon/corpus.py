@@ -340,6 +340,16 @@ def _make_span(sentence, sentence_index, start, end):
 # Dataset preparation
 
 
+def _relabel(corpus: Corpus, label_of) -> Corpus:
+    """The corpus with each token's label replaced by label_of(label)."""
+    return Corpus(tuple(
+        Document(doc.id, tuple(
+            Sentence(tuple(Token(t.text, label_of(t.label))
+                           for t in sent.tokens))
+            for sent in doc.sentences))
+        for doc in corpus.documents), corpus.taxonomy)
+
+
 def map_to_coarse(corpus: Corpus) -> Corpus:
     """Replace every fine PHI type with its coarse category.
 
@@ -349,24 +359,17 @@ def map_to_coarse(corpus: Corpus) -> Corpus:
     """
     tax = corpus.taxonomy
     coarse_only = set(tax.coarse_of.values()) - set(tax.fine_types)
-    docs = []
-    for doc in corpus.documents:
-        sents = []
-        for sent in doc.sentences:
-            toks = []
-            for tok in sent.tokens:
-                lab = tok.label
-                if lab.is_phi:
-                    if lab.phi_type in coarse_only:
-                        raise PhiconError(
-                            f"label {lab} is already coarse; corpus mapped twice?")
-                    if lab.phi_type not in tax.fine_types:
-                        raise PhiconError(f"unknown fine type {lab.phi_type!r}")
-                    lab = Label(lab.kind, tax.coarse_of[lab.phi_type])
-                toks.append(Token(tok.text, lab))
-            sents.append(Sentence(tuple(toks)))
-        docs.append(Document(doc.id, tuple(sents)))
-    return Corpus(tuple(docs), tax)
+
+    def label_of(lab: Label) -> Label:
+        if not lab.is_phi:
+            return lab
+        if lab.phi_type in coarse_only:
+            raise PhiconError(
+                f"label {lab} is already coarse; corpus mapped twice?")
+        if lab.phi_type not in tax.fine_types:
+            raise PhiconError(f"unknown fine type {lab.phi_type!r}")
+        return Label(lab.kind, tax.coarse_of[lab.phi_type])
+    return _relabel(corpus, label_of)
 
 
 def filter_rare_types(corpus: Corpus, threshold: int) -> Corpus:
@@ -384,18 +387,7 @@ def filter_rare_types(corpus: Corpus, threshold: int) -> Corpus:
     rare = {t for t, n in counts.items() if n < threshold}
     if not rare:
         return corpus
-    docs = []
-    for doc in corpus.documents:
-        sents = []
-        for sent in doc.sentences:
-            toks = [
-                Token(t.text, O) if t.label.is_phi and t.label.phi_type in rare
-                else t
-                for t in sent.tokens
-            ]
-            sents.append(Sentence(tuple(toks)))
-        docs.append(Document(doc.id, tuple(sents)))
-    return Corpus(tuple(docs), corpus.taxonomy)
+    return _relabel(corpus, lambda lab: O if lab.phi_type in rare else lab)
 
 
 def split_corpus(corpus: Corpus, ratios: tuple[float, float, float],

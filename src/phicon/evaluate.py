@@ -10,6 +10,7 @@ F1 with a zero denominator is defined as 0.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .augment import AugmentConfig, augment_corpus
@@ -60,51 +61,32 @@ def binary_token_f1(gold: Corpus, pred: list[list[Label]]) -> EvalReport:
     if len(sents) != len(pred):
         raise PhiconError(
             f"prediction count {len(pred)} != sentence count {len(sents)}")
-    tp = fp = fn = tn = 0
-    cat: dict[str, dict[str, int]] = {}
 
-    def coarse(label: Label) -> str | None:
-        if not label.is_phi:
-            return None
+    def coarse(label: Label) -> str | None:  # Outside has phi_type None
         return tax.coarse_of.get(label.phi_type, label.phi_type)
 
+    # (gold, predicted) coarse category -> tokens; None is Outside
+    pairs: Counter = Counter()
     for si, (sent, labels) in enumerate(zip(sents, pred)):
         if len(sent) != len(labels):
             raise PhiconError(
                 f"sentence {si}: prediction length {len(labels)} != "
                 f"token count {len(sent)}")
-        for tok, plab in zip(sent.tokens, labels):
-            g = tok.label.is_phi
-            p = plab.is_phi
-            if g and p:
-                tp += 1
-            elif g:
-                fn += 1
-            elif p:
-                fp += 1
-            else:
-                tn += 1
-            gc = coarse(tok.label)
-            pc = coarse(plab)
-            for c in (gc, pc):
-                if c is not None and c not in cat:
-                    cat[c] = {"tp": 0, "fp": 0, "fn": 0, "support": 0}
-            if gc is not None:
-                cat[gc]["support"] += 1
-                if pc == gc:
-                    cat[gc]["tp"] += 1
-                else:
-                    cat[gc]["fn"] += 1
-            if pc is not None and pc != gc:
-                cat[pc]["fp"] += 1
-
+        pairs.update(zip(map(coarse, sent.labels()), map(coarse, labels)))
+    binary, gold_n, pred_n = Counter(), Counter(), Counter()
+    for (g, p), n in pairs.items():
+        binary[g is not None, p is not None] += n
+        gold_n[g] += n
+        pred_n[p] += n
+    tp, fp, fn = binary[True, True], binary[False, True], binary[True, False]
     precision, recall, micro = _prf(tp, fp, fn)
     per_category = {}
-    for c in sorted(cat):
-        cp, cr, cf = _prf(cat[c]["tp"], cat[c]["fp"], cat[c]["fn"])
-        per_category[c] = CategoryScore(cp, cr, cf, cat[c]["support"])
-    return EvalReport(micro, precision, recall, per_category,
-                      {"tp": tp, "fp": fp, "fn": fn, "tn": tn})
+    for c in sorted((gold_n.keys() | pred_n.keys()) - {None}):
+        hit = pairs[c, c]
+        per_category[c] = CategoryScore(
+            *_prf(hit, pred_n[c] - hit, gold_n[c] - hit), gold_n[c])
+    return EvalReport(micro, precision, recall, per_category, {
+        "tp": tp, "fp": fp, "fn": fn, "tn": binary[False, False]})
 
 
 # Salts keeping subsample and tagger seed streams apart per seed index.
@@ -251,21 +233,13 @@ def format_experiment_table(result: ExperimentResult) -> str:
 def experiment_records(result: ExperimentResult) -> list[str]:
     """Line-delimited JSON records for machine consumption."""
     import json
-    out = []
-    for name, scores in result.arms.items():
-        for i, score in enumerate(scores, start=1):
-            out.append(json.dumps({
-                "setting": result.setting, "fraction": result.train_fraction,
-                "alpha": result.alpha, "arm": name, "seed": i,
-                "micro_f1": score,
-            }, sort_keys=True))
-    for name, mean in result.means.items():
-        out.append(json.dumps({
-            "setting": result.setting, "fraction": result.train_fraction,
-            "alpha": result.alpha, "arm": name, "seed": "mean",
-            "micro_f1": mean,
-        }, sort_keys=True))
-    return out
+    rows = [(name, i, score) for name, scores in result.arms.items()
+            for i, score in enumerate(scores, start=1)]
+    rows += [(name, "mean", mean) for name, mean in result.means.items()]
+    return [json.dumps({
+        "setting": result.setting, "fraction": result.train_fraction,
+        "alpha": result.alpha, "arm": name, "seed": seed, "micro_f1": score,
+    }, sort_keys=True) for name, seed, score in rows]
 
 
 def format_eval_report(report: EvalReport) -> str:

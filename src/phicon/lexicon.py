@@ -15,6 +15,7 @@ Pattern templates come in two flavors:
 from __future__ import annotations
 
 import calendar
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -79,14 +80,23 @@ def sample_entity(lexicon: Lexicon, rng: RandomStream,
 _MONTHS = ("January", "February", "March", "April", "May", "June", "July",
            "August", "September", "October", "November", "December")
 
-_DATE_TEMPLATES = {
-    "MM/DD/YYYY": r"\d{2}/\d{2}/\d{4}",
-    "YYYY-MM-DD": r"\d{4}-\d{2}-\d{2}",
-    "M/D/YY": r"\d{1,2}/\d{1,2}/\d{2}",
-    "MonthName D, YYYY": "(?:" + "|".join(_MONTHS) + r") \d{1,2}, \d{4}",
+_YEARS = (1950, 2020)
+
+# Date template -> (verifier regex, formatter of year, month, day).
+_DATES = {
+    "MM/DD/YYYY": (r"\d{2}/\d{2}/\d{4}",
+                   lambda y, m, d: f"{m:02d}/{d:02d}/{y:04d}"),
+    "YYYY-MM-DD": (r"\d{4}-\d{2}-\d{2}",
+                   lambda y, m, d: f"{y:04d}-{m:02d}-{d:02d}"),
+    "M/D/YY": (r"\d{1,2}/\d{1,2}/\d{2}",
+               lambda y, m, d: f"{m}/{d}/{y % 100:02d}"),
+    "MonthName D, YYYY": ("(?:" + "|".join(_MONTHS) + r") \d{1,2}, \d{4}",
+                          lambda y, m, d: f"{_MONTHS[m - 1]} {d}, {y}"),
 }
 
-_YEARS = (1950, 2020)
+# Every date template writes each calendar day in _YEARS differently.
+_DAYS = sum(366 if calendar.isleap(y) else 365
+            for y in range(_YEARS[0], _YEARS[1] + 1))
 
 _CLASSES = {r"\d": "0123456789", "[0-9]": "0123456789",
             "[A-Z]": "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
@@ -96,13 +106,21 @@ _ATOM = re.compile(
     r"(\\d|\[A-Z\]|\[a-z\]|\[0-9\])(?:\{(\d+)(?:,(\d+))?\})?|(.)", re.S)
 
 
-def _compile_pattern(pattern: str):
-    """Compile a restricted-regex template into (atoms, verifier, space).
+@functools.cache
+def _compile(pattern: str):
+    """(render(rng), verifier, space) of a template: a function drawing one
+    string, the anchored regex matching exactly the strings it can draw, and
+    how many distinct strings that is."""
+    if pattern in _DATES:
+        regex, fmt = _DATES[pattern]
 
-    atoms: list of (alphabet, min_rep, max_rep) or literal strings.
-    space: number of distinct strings the template can produce.
-    """
-    atoms = []
+        def render(rng: RandomStream) -> str:
+            year = _YEARS[0] + rng.randrange(_YEARS[1] - _YEARS[0] + 1)
+            month = 1 + rng.randrange(12)
+            return fmt(year, month,
+                       1 + rng.randrange(calendar.monthrange(year, month)[1]))
+        return render, re.compile(regex + "$"), _DAYS
+    atoms = []  # literal strings and (alphabet, min_rep, max_rep)
     verifier = []
     space = 1
     for m in _ATOM.finditer(pattern):
@@ -115,20 +133,20 @@ def _compile_pattern(pattern: str):
         lo = int(lo) if lo else 1
         hi = int(hi) if hi else lo
         atoms.append((alphabet, lo, hi))
-        quant = f"{{{lo},{hi}}}" if hi != lo else f"{{{lo}}}"
-        verifier.append(cls + quant)
-        a = len(alphabet)
-        space *= sum(a ** k for k in range(lo, hi + 1))
-    return atoms, re.compile("".join(verifier) + "$"), space
+        verifier.append(cls + (f"{{{lo},{hi}}}" if hi != lo else f"{{{lo}}}"))
+        space *= sum(len(alphabet) ** k for k in range(lo, hi + 1))
 
-
-def _date_space(template: str) -> int:
-    days = sum(366 if calendar.isleap(y) else 365
-               for y in range(_YEARS[0], _YEARS[1] + 1))
-    if template == "M/D/YY":
-        # 1950..2020 is 71 years, all with distinct YY; 366 days bounds each.
-        return 71 * 366
-    return days
+    def render(rng: RandomStream) -> str:
+        out = []
+        for atom in atoms:
+            if isinstance(atom, str):
+                out.append(atom)
+                continue
+            alphabet, lo, hi = atom
+            n = lo if lo == hi else lo + rng.randrange(hi - lo + 1)
+            out.extend(alphabet[rng.randrange(len(alphabet))] for _ in range(n))
+        return "".join(out)
+    return render, re.compile("".join(verifier) + "$"), space
 
 
 @dataclass(frozen=True)
@@ -172,45 +190,14 @@ DEFAULT_GENERATED_COUNTS = {
 _RETRY_FACTOR = 100
 
 
-def _render_date(template: str, rng: RandomStream) -> str:
-    year = _YEARS[0] + rng.randrange(_YEARS[1] - _YEARS[0] + 1)
-    month = 1 + rng.randrange(12)
-    day = 1 + rng.randrange(calendar.monthrange(year, month)[1])
-    if template == "MM/DD/YYYY":
-        return f"{month:02d}/{day:02d}/{year:04d}"
-    if template == "YYYY-MM-DD":
-        return f"{year:04d}-{month:02d}-{day:02d}"
-    if template == "M/D/YY":
-        return f"{month}/{day}/{year % 100:02d}"
-    if template == "MonthName D, YYYY":
-        return f"{_MONTHS[month - 1]} {day}, {year}"
-    raise LexiconError(f"unknown date template {template!r}")
-
-
-def _render_regex(atoms, rng: RandomStream) -> str:
-    out = []
-    for atom in atoms:
-        if isinstance(atom, str):
-            out.append(atom)
-            continue
-        alphabet, lo, hi = atom
-        n = lo if lo == hi else lo + rng.randrange(hi - lo + 1)
-        out.extend(alphabet[rng.randrange(len(alphabet))] for _ in range(n))
-    return "".join(out)
-
-
 def render_pattern(pattern: str, rng: RandomStream) -> str:
     """One string drawn from a single pattern template."""
-    if pattern in _DATE_TEMPLATES:
-        return _render_date(pattern, rng)
-    return _render_regex(_compile_pattern(pattern)[0], rng)
+    return _compile(pattern)[0](rng)
 
 
 def pattern_verifier(pattern: str) -> re.Pattern:
     """Anchored regex matching exactly the strings a template can emit."""
-    if pattern in _DATE_TEMPLATES:
-        return re.compile(_DATE_TEMPLATES[pattern] + "$")
-    return _compile_pattern(pattern)[1]
+    return _compile(pattern)[1]
 
 
 def generate_identifiers(spec: GeneratorSpec, count: int, seed: int) -> Lexicon:
@@ -221,19 +208,12 @@ def generate_identifiers(spec: GeneratorSpec, count: int, seed: int) -> Lexicon:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    compiled = []
-    total_space = 0
-    for pat in spec.patterns:
-        if pat in _DATE_TEMPLATES:
-            compiled.append(("date", pat))
-            total_space += _date_space(pat)
-        else:
-            atoms, _, space = _compile_pattern(pat)
-            compiled.append(("regex", atoms))
-            total_space += space
+    compiled = [_compile(pat) for pat in spec.patterns]
+    total_space = sum(space for _, _, space in compiled)
     if total_space < count:
         raise ExhaustionError(
             f"{spec.phi_type}: pattern space {total_space} < requested {count}")
+    renders = [render for render, _, _ in compiled]
     rng = RandomStream(seed)
     entries: list[str] = []
     seen: set[str] = set()
@@ -245,9 +225,7 @@ def generate_identifiers(spec: GeneratorSpec, count: int, seed: int) -> Lexicon:
                 f"{spec.phi_type}: could not produce {count} distinct entries "
                 f"within {budget} draws")
         draws += 1
-        kind, payload = rng.weighted_choice(compiled, spec.weights)
-        value = (_render_date(payload, rng) if kind == "date"
-                 else _render_regex(payload, rng))
+        value = rng.weighted_choice(renders, spec.weights)(rng)
         if value not in seen:
             seen.add(value)
             entries.append(value)

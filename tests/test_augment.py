@@ -162,6 +162,16 @@ class TestAugmentSentence:
         outside = [t.text for t in out.tokens if not t.label.is_phi]
         assert outside == ["She", "met", "in", "the"]
 
+    def test_zero_rates_still_edit(self, fixture_registry, tsv_provider):
+        # SR and RI each make at least one edit (the EDA rule), so rate 0
+        # does not switch them off; enable_sr and enable_ri do.
+        s = sent(("She", "O"), ("met", "O"), ("Washington", "B-Patient"),
+                 ("for", "O"), ("a", "O"), ("visit", "O"))
+        cfg = AugmentConfig(sr_rate=0.0, ri_rate=0.0, enable_phi=False)
+        out, applied, _ = augment_sentence(
+            s, fixture_registry, tsv_provider, cfg, RandomStream(5))
+        assert applied == ("SR", "RI") and len(out) == len(s) + 1
+
     def test_drop_unchanged(self, fixture_registry, tsv_provider):
         s = sent(("zzz", "O"),)
         cfg = AugmentConfig()

@@ -146,9 +146,11 @@ class TestConfig:
         "[generator.Zip]\npatterns =\n    \\d{5}\nweights = -1\n",
         "[generator.Zip]\npatterns =\n    \\d{5}\nweights = 1 2\n",
         "[generator.Zip]\nweights = 2\n",
+        "[generator.Zip]\nseed = 9\n",
     ], ids=["curated-type", "unknown-type", "count-zero", "count-negative",
             "seed-not-int", "count-not-int", "weight-nan", "weight-inf",
-            "weight-negative", "weight-count", "weights-without-patterns"])
+            "weight-negative", "weight-count", "weights-without-patterns",
+            "seed-only"])
     def test_bad_generator_section(self, small_conll, tmp_path, capsys, text):
         # Each used to augment with exit 0, the section ignored or a NaN or
         # infinite weight taken, or fail with a message that names no
@@ -511,11 +513,17 @@ class TestExitContract:
          "[experiment]\nn_seeds = 0\n", 1),
         (["sweep", "--train", "{corpus}", "--dev", "{corpus}"],
          "[experiment]\nepochs = 0\n", 1),
+        # Each used to exit 0 with a Python warning on stderr.
+        (["sweep", "--train", "{corpus}", "--dev", "{corpus}",
+          "--alphas", "1,1"], None, 2),
+        (["sweep", "--train", "{corpus}", "--dev", "{corpus}"],
+         "[experiment]\nalphas = 1,1\n", 1),
     ], ids=["alpha", "sr-rate", "ratios", "alphas", "config-value",
             "config-no-section", "non-utf8-input", "synth-docs",
             "synth-min-sentences", "train-epochs", "xeval-seeds",
             "ablate-epochs", "sweep-seeds", "sweep-epochs", "fraction-0",
-            "fraction-1.5", "config-n-seeds", "config-epochs"])
+            "fraction-1.5", "config-n-seeds", "config-epochs",
+            "alphas-repeated", "config-alphas-repeated"])
     def test_bad_value_or_file(self, small_conll, tmp_path, capsys, argv,
                                config, code):
         latin1 = tmp_path / "latin1.conll"
@@ -609,6 +617,14 @@ class TestBuildRegistry:
         registry = cli._build_registry(self._args(), load_config(cfg))
         assert registry.by_fine["Phone"] == phicon.generate_identifiers(
             phicon.DEFAULT_GENERATOR_SPECS["Phone"], 50, 4)
+
+    def test_count_only_section_uses_its_seed(self, tmp_path):
+        # The section's seed used to be dropped for the registry seed.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Phone]\ncount = 50\nseed = 9\n")
+        registry = cli._build_registry(self._args(), load_config(cfg))
+        assert registry.by_fine["Phone"] == phicon.generate_identifiers(
+            phicon.DEFAULT_GENERATOR_SPECS["Phone"], 50, 9)
 
     def test_one_registry_per_build(self, tmp_path, monkeypatch):
         built = []

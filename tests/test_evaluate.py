@@ -14,7 +14,7 @@ from phicon.evaluate import (
     ablation_run, experiment_arms, experiment_records, format_eval_report,
     format_experiment_table, _subsample,
 )
-from phicon.rng import derive_seed
+from phicon.rng import RandomStream, derive_seed
 from tests.conftest import sent
 
 COARSE_LABELS = ["O", "B-NAME", "I-NAME", "B-LOCATION", "I-LOCATION",
@@ -46,7 +46,95 @@ def _brute_force_binary(gold_rows, pred_rows):
     return 2 * p * r / (p + r) if p + r else 0.0
 
 
+def _ref_binary_token_f1(gold, pred):
+    """The hand-counted scorer that one category-pair count replaced; kept
+    unchanged as a reference."""
+    tax = gold.taxonomy
+    sents = list(gold.sentences())
+    if len(sents) != len(pred):
+        raise PhiconError(
+            f"prediction count {len(pred)} != sentence count {len(sents)}")
+    tp = fp = fn = tn = 0
+    cat: dict[str, dict[str, int]] = {}
+
+    def coarse(label: Label) -> str | None:
+        if not label.is_phi:
+            return None
+        return tax.coarse_of.get(label.phi_type, label.phi_type)
+
+    for si, (sent, labels) in enumerate(zip(sents, pred)):
+        if len(sent) != len(labels):
+            raise PhiconError(
+                f"sentence {si}: prediction length {len(labels)} != "
+                f"token count {len(sent)}")
+        for tok, plab in zip(sent.tokens, labels):
+            g = tok.label.is_phi
+            p = plab.is_phi
+            if g and p:
+                tp += 1
+            elif g:
+                fn += 1
+            elif p:
+                fp += 1
+            else:
+                tn += 1
+            gc = coarse(tok.label)
+            pc = coarse(plab)
+            for c in (gc, pc):
+                if c is not None and c not in cat:
+                    cat[c] = {"tp": 0, "fp": 0, "fn": 0, "support": 0}
+            if gc is not None:
+                cat[gc]["support"] += 1
+                if pc == gc:
+                    cat[gc]["tp"] += 1
+                else:
+                    cat[gc]["fn"] += 1
+            if pc is not None and pc != gc:
+                cat[pc]["fp"] += 1
+
+    precision, recall, micro = evaluate._prf(tp, fp, fn)
+    per_category = {}
+    for c in sorted(cat):
+        cp, cr, cf = evaluate._prf(cat[c]["tp"], cat[c]["fp"], cat[c]["fn"])
+        per_category[c] = evaluate.CategoryScore(cp, cr, cf, cat[c]["support"])
+    return evaluate.EvalReport(micro, precision, recall, per_category,
+                               {"tp": tp, "fp": fp, "fn": fn, "tn": tn})
+
+
+def _noised(corpus, seed):
+    """The gold labels with about half of them replaced: by Outside, or by
+    a Begin/Inside label of a random fine, coarse or off-taxonomy type."""
+    tax = corpus.taxonomy
+    types = [*tax.fine_types, *tax.coarse_types, "Bogus"]
+    rng = RandomStream(seed)
+    rows = []
+    for s in corpus.sentences():
+        row = []
+        for label in s.labels():
+            draw = rng.randrange(4)
+            if draw == 0:
+                label = Label("O")
+            elif draw == 1:
+                label = Label(rng.choice("BI"), rng.choice(types))
+            row.append(label)
+        rows.append(row)
+    return rows
+
+
 class TestBinaryTokenF1:
+    @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+    def test_matches_reference(self, coarse):
+        profile_a, _ = phicon.builtin_profiles()
+        corpus = phicon.generate_corpus(profile_a, 30, seed=4)
+        if coarse:
+            corpus = phicon.map_to_coarse(corpus)
+        for pred in ([s.labels() for s in corpus.sentences()],
+                     _noised(corpus, 1), _noised(corpus, 2)):
+            report = binary_token_f1(corpus, pred)
+            reference = _ref_binary_token_f1(corpus, pred)
+            assert report == reference
+            assert format_eval_report(report) == format_eval_report(reference)
+
     def test_perfect_prediction(self):
         rows = [["O", "B-NAME", "I-NAME"], ["B-DATE", "O"]]
         gold = _corpus_from_label_rows(rows)

@@ -1,10 +1,13 @@
 import collections
+import hashlib
 
 import pytest
 
 import phicon
 from phicon.errors import ExhaustionError, LexiconError
-from phicon.lexicon import pattern_verifier
+from phicon.lexicon import (
+    DEFAULT_GENERATED_COUNTS, pattern_verifier, render_pattern,
+)
 from phicon.rng import RandomStream
 
 
@@ -41,7 +44,40 @@ class TestLoadLexicon:
 ZIP = phicon.DEFAULT_GENERATOR_SPECS["Zip"]
 
 
+# The first 16 hex digits of the sha256 of each default spec's pool at its
+# DEFAULT_GENERATED_COUNTS size and seed 0, newline-joined: the lexicons
+# `gen-lexicon --type <Type>` writes by default.
+_DEFAULT_POOL_DIGESTS = {
+    "Zip": "37759675c04e393f",
+    "Phone": "95b5fa1319c3141b",
+    "Date": "ab960d918c35e1df",
+    "ID": "e457c5de603e5e04",
+    "MedicalRecord": "c593a83e5685c3f4",
+    "Username": "4fb75a9413e43ca6",
+}
+
+# The patterns of the synthetic sites' numeric filler pools.
+_FILLER_PATTERNS = (r"\d{2,3}/\d{2}", r"\d{2}", r"\d{2,3}", r"\d{3}")
+
+
 class TestGenerateIdentifiers:
+    def test_default_pools_pinned(self):
+        for name, spec in phicon.DEFAULT_GENERATOR_SPECS.items():
+            lex = phicon.generate_identifiers(
+                spec, DEFAULT_GENERATED_COUNTS[name], seed=0)
+            digest = hashlib.sha256("\n".join(lex.entries).encode())
+            assert digest.hexdigest()[:16] == _DEFAULT_POOL_DIGESTS[name], name
+
+    def test_every_render_matches_verifier(self):
+        patterns = [p for spec in phicon.DEFAULT_GENERATOR_SPECS.values()
+                    for p in spec.patterns] + list(_FILLER_PATTERNS)
+        rng = RandomStream(11)
+        for pattern in patterns:
+            verifier = pattern_verifier(pattern)
+            for _ in range(300):
+                value = render_pattern(pattern, rng)
+                assert verifier.match(value), (pattern, value)
+
     def test_zip_4000_distinct(self):
         lex = phicon.generate_identifiers(ZIP, 4000, seed=1)
         assert len(set(lex.entries)) == 4000
