@@ -135,10 +135,10 @@ def _generator(args, config, phi_type: str):
     section = f"generator.{phi_type}"
     given = _given(args, config, section, _SETTINGS["generator"])
     try:
-        if given.get("patterns"):
+        if "patterns" in given:
             return GeneratorSpec(phi_type, given["patterns"],
                                  given.get("weights", ())), given
-        if given.get("weights"):
+        if "weights" in given:
             raise ValueError("weights given without patterns")
     except ValueError as e:
         raise PhiconError(f"[{section}]: {e}") from None
@@ -164,7 +164,7 @@ def _build_registry(args, config) -> LexiconRegistry:
         if kind != "generator":
             continue
         spec, given = _generator(None, config, phi_type)
-        if given.get("patterns"):
+        if "patterns" in given:
             lexicons[phi_type] = generate_identifiers(
                 spec, given.get("count", 2000), given.get("seed", 0))
         elif "count" in given and phi_type not in lexicons:

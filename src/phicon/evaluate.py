@@ -126,10 +126,8 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
     if len(per_arm) != len(arms):
         raise PhiconError("arm names must be unique")
     alpha = next((cfg.alpha for _, cfg in arms if cfg is not None), 0)
-    # Test and training sentences: featurized once, then only read by runs.
-    sents = [*test.sentences(), *train.sentences()]
-    known = dict(zip(map(id, sents), tagger.featurize_sentences(sents)))
-    test_feats = [known[id(s)] for s in test.sentences()]
+    # The test set is featurized once, then only read by the runs.
+    test_feats = tagger.featurize_sentences(test.sentences())
 
     def run_one(seed_index: int, cfg) -> float:
         # A function, so each run's corpus and model are freed on return.
@@ -139,7 +137,7 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
             aug_cfg = replace(cfg, master_seed=derive_seed(
                 cfg.master_seed, seed_index))
             corpus, _ = augment_corpus(corpus, registry, provider, aug_cfg)
-        model = tagger.train(corpus, epochs=epochs, known=known,
+        model = tagger.train(corpus, epochs=epochs,
                              seed=derive_seed(_TAGGER_SALT, seed_index))
         return binary_token_f1(test, tagger.predict_features(
             model, test_feats, memoize=True)).micro_f1

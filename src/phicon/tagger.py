@@ -16,9 +16,7 @@ import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .corpus import (
-    Corpus, Label, Sentence, atomic_open, serialize_conll, validate_bio,
-)
+from .corpus import Corpus, Label, Sentence, atomic_open, serialize_conll
 from .errors import ModelFormatError, PhiconError
 from .rng import RandomStream, derive_seed
 
@@ -90,18 +88,25 @@ class TaggerModel:
             raise PhiconError("label set must contain Outside")
 
 
-def _features(sentence: Sentence, memo: dict | None = None) -> list:
-    """featurize at every position; a memo makes equal strings one object."""
-    feats = [featurize(sentence, i) for i in range(len(sentence))]
-    return feats if memo is None else [[memo.setdefault(f, f) for f in fs]
-                                       for fs in feats]
+def _features(sentence: Sentence) -> list:
+    return [featurize(sentence, i) for i in range(len(sentence))]
 
 
 def featurize_sentences(sentences) -> list:
-    """Token features of each sentence, for scoring them with several
-    models (predict_features) without featurizing them again."""
-    memo: dict[str, str] = {}
-    return [_features(s, memo) for s in sentences]
+    """Token features of each sentence, for train and predict_features. A
+    token's context (previous word lower-cased or <S>, word, next word
+    lower-cased or </S>) fixes its features, so per call each context is
+    featurized once into one shared list, and equal strings are one object."""
+    memo: dict = {}  # context tuple -> features, and string -> itself
+    out = []
+    for s in sentences:
+        low = [_START, *(t.text.lower() for t in s.tokens), _END]
+        out.append(feats := [])
+        for i, t in enumerate(s.tokens):
+            if (key := (low[i], t.text, low[i + 2])) not in memo:
+                memo[key] = [memo.setdefault(f, f) for f in featurize(s, i)]
+            feats.append(memo[key])
+    return out
 
 
 def _bio_masks(label_set):
@@ -129,10 +134,8 @@ def corpus_fingerprint(corpus: Corpus) -> str:
     return hashlib.sha256(serialize_conll(corpus).encode("utf-8")).hexdigest()[:16]
 
 
-def train(corpus: Corpus, epochs: int = 5, seed: int = 0, *,
-          known=None) -> TaggerModel:
-    """Averaged-perceptron training with seeded per-epoch shuffling. known
-    maps id(s) of sentences the caller keeps alive to their token features."""
+def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
+    """Averaged-perceptron training with seeded per-epoch shuffling."""
     if epochs < 1:
         raise PhiconError("epochs must be >= 1")
     sentences = [s for s in corpus.sentences() if len(s) > 0]
@@ -148,9 +151,8 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0, *,
     n = len(label_set)
 
     # Featurize once; features do not depend on decoding state.
-    memo: dict[str, str] = {}
-    data = [((known or {}).get(id(sent)) or _features(sent, memo),
-             [index[str(t.label)] for t in sent.tokens]) for sent in sentences]
+    data = [(feats, [index[str(t.label)] for t in sent.tokens])
+            for sent, feats in zip(sentences, featurize_sentences(sentences))]
 
     # Weights stay whole while training, so a feature's row is one int of n
     # 64-bit fields, bits 64i on holding label i's weight + _BIAS. A sum of k

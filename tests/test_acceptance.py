@@ -181,7 +181,7 @@ class TestCriterion6Determinism:
             save_model(train(corpus, epochs=3, seed=6), path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_xeval_identical_across_runs_and_jobs(
+    def test_xeval_identical_across_runs(
             self, site_splits, builtin_registry_s, builtin_provider_s):
         args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
                     registry=builtin_registry_s, provider=builtin_provider_s)

@@ -287,7 +287,8 @@ class TestAugmentCommand:
                         "--out", str(out), "--seed", "9"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_byte_identical(self, small_conll, tmp_path):
+    def test_reruns_write_identical_corpus_and_records(self, small_conll,
+                                                       tmp_path):
         # augment runs serially: three reruns write the same corpus and
         # the same records.
         outputs = []
@@ -518,12 +519,20 @@ class TestExitContract:
           "--alphas", "1,1"], None, 2),
         (["sweep", "--train", "{corpus}", "--dev", "{corpus}"],
          "[experiment]\nalphas = 1,1\n", 1),
+        # Each used to exit 0 with the builtin or a default-spec pool.
+        (["augment", "--in", "{corpus}", "--out", "{out}"],
+         "[generator.Zip]\npatterns =\n", 1),
+        (["augment", "--in", "{corpus}", "--out", "{out}"],
+         "[generator.Zip]\npatterns =\ncount = 20\n", 1),
+        (["augment", "--in", "{corpus}", "--out", "{out}"],
+         "[generator.Zip]\nweights =\n", 1),
     ], ids=["alpha", "sr-rate", "ratios", "alphas", "config-value",
             "config-no-section", "non-utf8-input", "synth-docs",
             "synth-min-sentences", "train-epochs", "xeval-seeds",
             "ablate-epochs", "sweep-seeds", "sweep-epochs", "fraction-0",
             "fraction-1.5", "config-n-seeds", "config-epochs",
-            "alphas-repeated", "config-alphas-repeated"])
+            "alphas-repeated", "config-alphas-repeated", "empty-patterns",
+            "empty-patterns-count", "empty-weights"])
     def test_bad_value_or_file(self, small_conll, tmp_path, capsys, argv,
                                config, code):
         latin1 = tmp_path / "latin1.conll"

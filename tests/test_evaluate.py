@@ -243,8 +243,8 @@ class TestCrossDatasetEval:
             n_seeds=2, epochs=2)
         assert result.arms["a"] == result.arms["b"]
 
-    def test_jobs_do_not_change_scores(self, site_splits, builtin_registry_s,
-                                       builtin_provider_s):
+    def test_rerun_gives_equal_scores(self, site_splits, builtin_registry_s,
+                                      builtin_provider_s):
         args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
                     registry=builtin_registry_s, provider=builtin_provider_s)
         # The experiment runs serially; a rerun gives equal scores.
@@ -262,12 +262,12 @@ class TestCrossDatasetEval:
     def test_shared_test_features_match_per_run_prediction(
             self, site_splits, fine_sites, builtin_registry_s,
             builtin_provider_s):
-        # The test corpus and the training sentences are featurized once and
-        # read by every (seed, arm) run, which also scores each distinct test
-        # feature list once per model. Scores must equal those of a fresh
-        # augment_corpus, train and predict_corpus per run, and a rerun must
-        # not see features changed by the first run. Every training document
-        # holds an empty sentence, which training skips.
+        # The test corpus is featurized once and read by every (seed, arm)
+        # run, which also scores each distinct test feature list once per
+        # model. Scores must equal those of a fresh augment_corpus, train and
+        # predict_corpus per run, and a rerun must not see features changed
+        # by the first run. Every training document holds an empty sentence,
+        # which training skips.
         phicon_cfg = AugmentConfig(alpha=1)
         arms = [("baseline", None), ("phicon", phicon_cfg), ("other", None)]
         for train, test in [(site_splits["train_a"], site_splits["dev_b"]),

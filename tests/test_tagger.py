@@ -523,3 +523,22 @@ class TestSharedFeatures:
         feats = featurize_sentences(fixture_corpora["fine"][1].sentences())
         bias = {id(fs[0]) for sent_feats in feats for fs in sent_feats}
         assert len(bias) == 1
+
+    def test_context_key_keeps_case_and_sentence_start(self):
+        # "Smith" differs from "smith" only in case, and at the sentence
+        # start from "Smith" after a literal <S> token; each context keeps
+        # its own features.
+        sents = [sent(("a", "O"), ("Smith", "O"), ("said", "O")),
+                 sent(("a", "O"), ("smith", "O"), ("said", "O")),
+                 sent(("Smith", "O"), ("said", "O")),
+                 sent(("<S>", "O"), ("Smith", "O"), ("said", "O")),
+                 sent(("Smith", "O"), ("said", "O"))]
+        feats = featurize_sentences(sents)
+        assert feats == [[featurize(s, i) for i in range(len(s))]
+                         for s in sents]
+        assert feats[0][1] != feats[1][1] and feats[2][0] != feats[3][1]
+        # A repeated context is one list: "said" after smith/Smith and at
+        # the end, and the whole sentence "Smith said".
+        assert all(fs is feats[0][2] for fs in
+                   (feats[1][2], feats[2][1], feats[3][2], feats[4][1]))
+        assert feats[4][0] is feats[2][0]
