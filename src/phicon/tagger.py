@@ -121,7 +121,7 @@ def _bio_masks(label_set):
 def _decode(score, types, masks, feats):
     """Greedy masked decode of one sentence, yielding label indices: score(fs)
     is a token's scores by label index (empty: no weighted feature), and ties
-    go to the earlier label. Lazy, so training can update rows in between."""
+    go to the earlier label. train decodes by the same rule inline."""
     allowed = masks[None]
     for fs in feats:
         scores = score(fs)
@@ -135,13 +135,17 @@ def corpus_fingerprint(corpus: Corpus) -> str:
 
 
 def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
-    """Averaged-perceptron training with seeded per-epoch shuffling."""
+    """Averaged-perceptron training with seeded per-epoch shuffling. A pick
+    is reused until the next update, and training stops after the first epoch
+    without a mistake, adding the skipped epochs' tokens to the step count:
+    unmoved weights make every later epoch mistake-free. The model equals a
+    full run's bit for bit, and epochs past convergence cost nothing."""
     if epochs < 1:
         raise PhiconError("epochs must be >= 1")
     sentences = [s for s in corpus.sentences() if len(s) > 0]
     if not sentences:
         raise PhiconError("cannot train on an empty corpus")
-    if epochs * sum(map(len, sentences)) >= _BIAS:  # a field could overflow
+    if epochs * (tokens := sum(map(len, sentences))) >= _BIAS:
         raise PhiconError("too many epochs x tokens for the weight fields")
 
     seen = dict.fromkeys(str(t.label) for sent in sentences for t in sent.tokens)
@@ -167,19 +171,26 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
         row = sum(filter(None, map(weights.get, fs)))
         return fields(row.to_bytes(8 * n, "little"))
 
+    picks = {}  # (id(fs), id(allowed)) -> pick; data and masks hold both
     step = 0
     order = list(range(len(data)))
     for epoch in range(epochs):
         RandomStream(derive_seed(seed, epoch)).shuffle(order)
+        learned = False
         for si in order:
             feats, golds = data[si]
             # Decode greedily from the model's own predictions so training
             # sees the same conditions as inference.
-            for fs, gold, pred in zip(feats, golds,
-                                      _decode(score, types, masks, feats)):
+            allowed = masks[None]
+            for fs, gold in zip(feats, golds):
                 step += 1
+                if (pred := picks.get(key := (id(fs), id(allowed)))) is None:
+                    pred = picks[key] = max(allowed, key=score(fs).__getitem__)
+                allowed = masks[types[pred]]
                 if pred == gold:
                     continue
+                learned = True
+                picks.clear()
                 delta = (1 << 64 * gold) - (1 << 64 * pred)
                 for f in fs:
                     if f not in weights:
@@ -188,6 +199,9 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
                     u = updates[f]
                     u[gold] += step
                     u[pred] -= step
+        if not learned:
+            step += (epochs - 1 - epoch) * tokens
+            break
 
     averaged: dict[str, dict[str, float]] = {}
     for feat, row in weights.items():

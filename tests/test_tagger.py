@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 import phicon
 from phicon import tagger
 from phicon.cli import run
-from phicon.corpus import Corpus, Document, Label, validate_bio
+from phicon.corpus import (
+    Corpus, Document, Label, read_conll, validate_bio, write_conll,
+)
 from phicon.errors import ModelFormatError, PhiconError
 from phicon.rng import RandomStream, derive_seed
 from phicon.tagger import (
@@ -129,6 +131,40 @@ class TestTraining:
         monkeypatch.setattr(tagger, "RandomStream", no_epoch)
         with pytest.raises(PhiconError, match="epochs x tokens"):
             train(corpus, epochs=3, seed=1)
+
+    def test_stops_after_first_mistake_free_epoch(self, monkeypatch):
+        # One token. Labelled O, epoch 1 picks Outside (all scores tie) and
+        # makes no mistake. Labelled B-Doctor, epoch 1 also picks Outside and
+        # learns, and epoch 2 is the first without a mistake.
+        decoded = []
+
+        def counting(seed):  # one stream per decoded epoch
+            decoded.append(seed)
+            return RandomStream(seed)
+        monkeypatch.setattr(tagger, "RandomStream", counting)
+        for label, epochs, expected in (("O", 5, 1), ("B-Doctor", 5, 2),
+                                        ("B-Doctor", 300, 2),
+                                        ("B-Doctor", 2, 2), ("B-Doctor", 1, 1)):
+            corpus = Corpus((Document("d", (sent(("Smith", label)),)),))
+            decoded.clear()
+            model = train(corpus, epochs=epochs, seed=3)
+            assert len(decoded) == expected, (label, epochs)
+            assert model == _ref_train(corpus, epochs=epochs, seed=3)
+
+    def test_cli_train_past_convergence_matches_reference(self, tmp_path):
+        # 3 synthetic documents converge within a few epochs; the other
+        # epochs only advance the step count of the weight average.
+        profile_a, _ = phicon.builtin_profiles()
+        for corpus in (phicon.generate_corpus(profile_a, 3, (8, 15), seed=5),
+                       phicon.generate_corpus(profile_a, 3, (8, 15), seed=6)):
+            write_conll(corpus, tmp_path / "train.conll")
+            assert run(["train", "--in", str(tmp_path / "train.conll"),
+                        "--model", str(tmp_path / "model.txt"),
+                        "--epochs", "300", "--seed", "2"]) == 0
+            save_model(_ref_train(read_conll(tmp_path / "train.conll"),
+                                  epochs=300, seed=2), tmp_path / "ref.txt")
+            assert (tmp_path / "model.txt").read_bytes() == \
+                (tmp_path / "ref.txt").read_bytes()
 
 
 class TestPrediction:
@@ -476,6 +512,28 @@ def _assert_matches_reference(train_c, test_c, epochs, seed, tmp_path):
     assert predict_features(model, feats, memoize=True) == expected
 
 
+@st.composite
+def _small_corpora(draw):
+    """A corpus of up to 8 sentences over 6 words and 2-3 PHI types, with
+    an Inside label only after a Begin or Inside of its type."""
+    types = draw(st.lists(st.sampled_from(["Doctor", "Date", "ID"]),
+                          min_size=2, max_size=3, unique=True))
+    labels = ["O"] + [f"{bi}-{t}" for t in types for bi in "BI"]
+    sents = []
+    for _ in range(draw(st.integers(1, 8))):
+        pairs, prev = [], None
+        for word in draw(st.lists(st.sampled_from(
+                ["a", "the", "Smith", "smith", "12", "x-1"]),
+                min_size=1, max_size=6)):
+            label = draw(st.sampled_from(labels))
+            if label[0] == "I" and label[2:] != prev:
+                label = "B" + label[1:]
+            prev = None if label == "O" else label[2:]
+            pairs.append((word, label))
+        sents.append(sent(*pairs))
+    return Corpus((Document("d", tuple(sents)),))
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("labels", ["fine", "coarse"])
     def test_train_save_predict_identical(self, fixture_corpora, labels,
@@ -494,12 +552,24 @@ class TestReferenceEquivalence:
         _assert_matches_reference(train_c, test_c, 5, 6, tmp_path)
 
     def test_tutorial_corpus_identical(self):
+        # At 40 epochs training stops long before the last epoch.
         corpus = _train_corpus()
-        ref = _ref_train(corpus, epochs=6, seed=2)
-        model = train(corpus, epochs=6, seed=2)
-        assert model.weights == ref.weights
-        s = sent(("Totally", "O"), ("unseen", "O"), ("Smith", "O"))
-        assert predict(model, s) == _ref_predict(ref, s)
+        for epochs in (6, 40):
+            ref = _ref_train(corpus, epochs=epochs, seed=2)
+            model = train(corpus, epochs=epochs, seed=2)
+            assert model.weights == ref.weights
+            s = sent(("Totally", "O"), ("unseen", "O"), ("Smith", "O"))
+            assert predict(model, s) == _ref_predict(ref, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=_small_corpora(), epochs=st.integers(1, 12),
+           seed=st.integers(0, 3))
+    def test_property_small_corpora_identical(self, tmp_path_factory,
+                                              corpus, epochs, seed):
+        # Few words, so contexts repeat, and some contexts get conflicting
+        # labels, so some corpora never stop early.
+        _assert_matches_reference(corpus, corpus, epochs, seed,
+                                  tmp_path_factory.mktemp("model"))
 
     def test_no_weighted_feature_picks_outside(self):
         # Every score is 0, so the earliest allowed label, Outside, wins;
