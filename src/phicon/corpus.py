@@ -150,7 +150,6 @@ class Corpus:
 
 @dataclass(frozen=True, slots=True)
 class EntitySpan:
-    sentence_index: int
     start: int  # inclusive token index
     end: int    # exclusive
     phi_type: str
@@ -308,7 +307,7 @@ def validate_bio(sentence: Sentence) -> list[Violation]:
     return violations
 
 
-def extract_entities(sentence: Sentence, sentence_index: int = 0) -> list[EntitySpan]:
+def extract_entities(sentence: Sentence) -> list[EntitySpan]:
     """Typed spans covering exactly the Begin/Inside tokens of a sentence."""
     if validate_bio(sentence):
         raise BioViolationError("sentence is not BIO-valid; validate or repair first")
@@ -318,20 +317,20 @@ def extract_entities(sentence: Sentence, sentence_index: int = 0) -> list[Entity
         lab = tok.label
         if lab.kind == BEGIN:
             if start is not None:
-                spans.append(_make_span(sentence, sentence_index, start, i))
+                spans.append(_make_span(sentence, start, i))
             start = i
         elif lab.kind == OUTSIDE:
             if start is not None:
-                spans.append(_make_span(sentence, sentence_index, start, i))
+                spans.append(_make_span(sentence, start, i))
                 start = None
     if start is not None:
-        spans.append(_make_span(sentence, sentence_index, start, len(sentence)))
+        spans.append(_make_span(sentence, start, len(sentence)))
     return spans
 
 
-def _make_span(sentence, sentence_index, start, end):
+def _make_span(sentence, start, end):
     return EntitySpan(
-        sentence_index=sentence_index, start=start, end=end,
+        start=start, end=end,
         phi_type=sentence.tokens[start].label.phi_type,
         surface=" ".join(t.text for t in sentence.tokens[start:end]))
 

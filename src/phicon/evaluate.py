@@ -139,8 +139,8 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
             corpus, _ = augment_corpus(corpus, registry, provider, aug_cfg)
         model = tagger.train(corpus, epochs=epochs,
                              seed=derive_seed(_TAGGER_SALT, seed_index))
-        return binary_token_f1(test, tagger.predict_features(
-            model, test_feats, memoize=True)).micro_f1
+        return binary_token_f1(
+            test, tagger.predict_features(model, test_feats)).micro_f1
 
     for s in range(1, n_seeds + 1):
         for name, cfg in arms:

@@ -238,7 +238,7 @@ def _fill_template(template: str, profile: SiteProfile,
             pattern = rng.weighted_choice(spec.patterns, weights)
             entity = render_pattern(pattern, rng)
         words = entity.split(" ")
-        spans.append(EntitySpan(0, len(texts), len(texts) + len(words),
+        spans.append(EntitySpan(len(texts), len(texts) + len(words),
                                 phi_type, entity))
         texts.extend(words)
     return relabel_from_spans(texts, spans)

@@ -93,10 +93,10 @@ def _features(sentence: Sentence) -> list:
 
 
 def featurize_sentences(sentences) -> list:
-    """Token features of each sentence, for train and predict_features. A
-    token's context (previous word lower-cased or <S>, word, next word
-    lower-cased or </S>) fixes its features, so per call each context is
-    featurized once into one shared list, and equal strings are one object."""
+    """Token features of each sentence, for train and predict_features. The
+    context (previous word lower-cased or <S>, word, next word lower-cased or
+    </S>) fixes a token's features, so per call each context gets one list,
+    whose picks _pick caches, and equal strings are one object."""
     memo: dict = {}  # context tuple -> features, and string -> itself
     out = []
     for s in sentences:
@@ -118,16 +118,13 @@ def _bio_masks(label_set):
                    for prev in types}
 
 
-def _decode(score, types, masks, feats):
-    """Greedy masked decode of one sentence, yielding label indices: score(fs)
-    is a token's scores by label index (empty: no weighted feature), and ties
-    go to the earlier label. train decodes by the same rule inline."""
-    allowed = masks[None]
-    for fs in feats:
-        scores = score(fs)
-        best = max(allowed, key=scores.__getitem__) if scores else allowed[0]
-        yield best
-        allowed = masks[types[best]]
+def _pick(score, picks, fs, allowed):
+    """One token's label index: the allowed one scoring highest in score(fs),
+    ties to the earlier. Cached in picks under (id(fs), id(allowed)): callers
+    keep fs alive while picks lives, and clear picks when scores change."""
+    if (pred := picks.get(key := (id(fs), id(allowed)))) is None:
+        pred = picks[key] = max(allowed, key=score(fs).__getitem__)
+    return pred
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
@@ -184,8 +181,7 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
             allowed = masks[None]
             for fs, gold in zip(feats, golds):
                 step += 1
-                if (pred := picks.get(key := (id(fs), id(allowed)))) is None:
-                    pred = picks[key] = max(allowed, key=score(fs).__getitem__)
+                pred = _pick(score, picks, fs, allowed)
                 allowed = masks[types[pred]]
                 if pred == gold:
                     continue
@@ -223,37 +219,42 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     )
 
 
-def predict_features(model: TaggerModel, corpus_feats,
-                     memoize: bool = False) -> list[list[Label]]:
-    """One label list per featurized sentence (see featurize_sentences); the
-    scoring path of predict and predict_corpus too. memoize scores each
-    distinct feature list once, and holds the scores until the call ends."""
+def _labeler(model: TaggerModel):
+    """label(feats, picks) yields one featurized sentence's labels, picked
+    left to right by _pick under the BIO mask."""
     rows = {f: [d.get(lbl, 0.0) for lbl in model.label_set]
             for f, d in model.weights.items()}
-    memo: dict[tuple, list] = {}
-
-    def score(fs):  # float sums, in feature order
-        return [*map(sum, zip(*[r for r in map(rows.get, fs) if r]))]
-
-    def memoized(fs):
-        if (key := tuple(fs)) not in memo:
-            memo[key] = score(fs)
-        return memo[key]
+    zeros = [0.0] * len(model.label_set)
     types, masks = _bio_masks(model.label_set)
     labels = [Label.parse(lbl) for lbl in model.label_set]
-    return [[labels[i] for i in _decode(memoized if memoize else score,
-                                         types, masks, feats)]
-            for feats in corpus_feats]
+
+    def score(fs):  # float sums in feature order; no weighted feature: zeros
+        return [*map(sum, zip(*[r for r in map(rows.get, fs) if r]))] or zeros
+
+    def label(feats, picks):
+        allowed = masks[None]
+        for fs in feats:
+            yield labels[pred := _pick(score, picks, fs, allowed)]
+            allowed = masks[types[pred]]
+    return label
+
+
+def predict_features(model: TaggerModel, corpus_feats) -> list[list[Label]]:
+    """One label list per featurized sentence (see featurize_sentences). Its
+    one pick cache keys by list id, so every list is held until it returns."""
+    label, picks = _labeler(model), {}
+    return [[*label(feats, picks)] for feats in list(corpus_feats)]
 
 
 def predict(model: TaggerModel, sentence: Sentence) -> list[Label]:
     """One label per token; output always passes validate_bio."""
-    return predict_features(model, [_features(sentence)])[0]
+    return [*_labeler(model)(_features(sentence), {})]
 
 
 def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
-    # One sentence's features at a time, to keep peak memory flat.
-    return predict_features(model, map(_features, corpus.sentences()))
+    # One sentence's features and picks at a time, to keep peak memory flat.
+    label = _labeler(model)
+    return [[*label(_features(s), {})] for s in corpus.sentences()]
 
 
 # ---------------------------------------------------------------------------

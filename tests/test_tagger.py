@@ -509,7 +509,6 @@ def _assert_matches_reference(train_c, test_c, epochs, seed, tmp_path):
     assert predict_corpus(model, test_c) == expected
     feats = featurize_sentences(test_c.sentences())
     assert predict_features(model, feats) == expected
-    assert predict_features(model, feats, memoize=True) == expected
 
 
 @st.composite
@@ -580,6 +579,44 @@ class TestReferenceEquivalence:
         s = sent(("Totally", "O"), ("unseen", "O"))
         assert predict(model, s) == _ref_predict(model, s) == [
             Label.parse("O"), Label.parse("O")]
+
+
+class TestPickCache:
+    """Picks are cached under (id(features), id(mask)); these pin both parts
+    of the key and that every keyed list outlives its key."""
+
+    def test_fresh_unshared_feature_lists(self, fixture_corpora):
+        # Each token's list is built afresh and reachable only through the
+        # generator, so a list freed early could hand its id to the next.
+        train_c, test_c = fixture_corpora["fine"]
+        model = train(train_c, epochs=3, seed=4)
+        fresh = ([featurize(s, i) for i in range(len(s))]
+                 for s in test_c.sentences())
+        assert predict_features(model, fresh) == \
+            [_ref_predict(model, s) for s in test_c.sentences()]
+
+    def test_shared_list_after_different_predecessors(self):
+        # Only w=dr and w=smith carry weight, so every "Smith" list scores
+        # alike. One list is shared after B-Doctor, at the start and after
+        # O, and an equal but distinct list follows B-Doctor. Inside wins
+        # only after B-Doctor, so a key without the mask goes wrong.
+        model = TaggerModel({"w=dr": {"B-Doctor": 1.0},
+                             "w=smith": {"B-Doctor": 0.5, "I-Doctor": 2.0}},
+                            ["O", "B-Doctor", "I-Doctor"],
+                            FEATURE_TEMPLATE_VERSION, {})
+        sents = [sent(("Dr", "O"), ("Smith", "O")),
+                 sent(("Smith", "O"),),
+                 sent(("a", "O"), ("Smith", "O")),
+                 sent(("Dr", "O"), ("Smith", "O"))]
+        feats = [[featurize(s, i) for i in range(len(s))] for s in sents]
+        smith = feats[0][1]
+        feats[1][0] = feats[2][1] = smith
+        feats[3][1] = list(smith)
+        expected = [_ref_predict(model, s) for s in sents]
+        assert [str(lbl) for lbls in expected for lbl in lbls] == [
+            "B-Doctor", "I-Doctor", "B-Doctor", "O", "B-Doctor",
+            "B-Doctor", "I-Doctor"]
+        assert predict_features(model, feats) == expected
 
 
 class TestSharedFeatures:
