@@ -17,7 +17,7 @@ from .corpus import (
     BEGIN, INSIDE, O, Corpus, Document, Label, Sentence, Token, atomic_open,
     extract_entities, validate_bio,
 )
-from .errors import BioViolationError, LexiconError
+from .errors import BioViolationError, LexiconError, PhiconError
 from .lexicon import LexiconRegistry, registry_resolve, sample_entity
 from .rng import RandomStream, derive_seed
 from .synonyms import PosTag, SynonymProvider
@@ -217,52 +217,42 @@ def augment_sentence(sentence: Sentence, registry: LexiconRegistry,
     return out, tuple(applied), tuple(replacements)
 
 
-def _augment_document(doc: Document, doc_index: int, run: int,
-                      registry: LexiconRegistry, provider: SynonymProvider,
-                      config: AugmentConfig):
-    """One augmented copy of one document; returns (Document|None, records)."""
-    sentences: list[Sentence] = []
-    records: list[AugmentRecord] = []
-    for si, sent in enumerate(doc.sentences):
-        has_phi = any(t.label.is_phi for t in sent.tokens)
-        if not has_phi:
-            if config.keep_context_sentences:
-                sentences.append(sent)
-            continue
-        rng = RandomStream(
-            derive_seed(config.master_seed, run, doc_index, si))
-        result = augment_sentence(sent, registry, provider, config, rng)
-        if result is None:
-            continue
-        new_sent, applied, replacements = result
-        sentences.append(new_sent)
-        records.append(AugmentRecord(
-            doc.id, si, run, applied, replacements))
-    if not sentences:
-        return None, records
-    return Document(f"{doc.id}#aug{run}", tuple(sentences)), records
-
-
 def augment_corpus(corpus: Corpus, registry: LexiconRegistry,
                    provider: SynonymProvider, config: AugmentConfig
                    ) -> tuple[Corpus, list[AugmentRecord]]:
     """D_new = D + alpha augmented copies of D's PHI-bearing sentences.
 
     Original documents come first, unchanged; augmented copies follow in
-    run-major order with ids `<orig>#aug<run>`. Per-sentence seeds are
-    derived from (master_seed, run, doc index, sentence index), so output
-    is byte-identical across reruns.
+    run-major order with ids `<orig>#aug<run>`, and a copy whose id is
+    already a document id is an error. Per-sentence seeds are derived from
+    (master_seed, run, doc index, sentence index), so output is
+    byte-identical across reruns.
     """
     documents = list(corpus.documents)
+    ids = {doc.id for doc in documents}
     records: list[AugmentRecord] = []
     for run in range(1, config.alpha + 1):
         for di, doc in enumerate(corpus.documents):
-            new_doc, recs = _augment_document(
-                doc, di, run, registry, provider, config)
-            if new_doc is not None:
-                documents.append(new_doc)
-            records.extend(recs)
-    return Corpus(tuple(documents), corpus.taxonomy), records
+            sentences: list[Sentence] = []
+            for si, sent in enumerate(doc.sentences):
+                if not any(t.label.is_phi for t in sent.tokens):
+                    if config.keep_context_sentences:
+                        sentences.append(sent)
+                    continue
+                rng = RandomStream(derive_seed(config.master_seed, run, di, si))
+                result = augment_sentence(sent, registry, provider, config, rng)
+                if result is None:
+                    continue
+                new_sent, applied, replacements = result
+                sentences.append(new_sent)
+                records.append(AugmentRecord(
+                    doc.id, si, run, applied, replacements))
+            if sentences:
+                if (copy_id := f"{doc.id}#aug{run}") in ids:
+                    raise PhiconError(f"augmented copy id {copy_id!r} is "
+                                      "already a document id")
+                documents.append(Document(copy_id, tuple(sentences)))
+    return Corpus(tuple(documents)), records
 
 
 def write_records(records, path) -> None:

@@ -71,11 +71,6 @@ class PhiTaxonomy:
     coarse_of: dict[str, str]
     generator_backed: frozenset[str]
 
-    def __post_init__(self):
-        missing = [t for t in self.fine_types if t not in self.coarse_of]
-        if missing:
-            raise ValueError(f"coarse_of not total: missing {missing}")
-
     @property
     def coarse_types(self) -> tuple[str, ...]:
         seen = []
@@ -138,7 +133,6 @@ class Document:
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
-    taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY
 
     def sentences(self):
         for doc in self.documents:
@@ -174,8 +168,8 @@ class CorpusStats:
 # Parsing / serialization
 
 
-def parse_conll(text: str, taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY,
-                repair: bool = False, source: str = "<string>") -> Corpus:
+def parse_conll(text: str, repair: bool = False,
+                source: str = "<string>") -> Corpus:
     """Parse two-column CoNLL-style text into a Corpus.
 
     Strict mode rejects invalid BIO transitions; with repair=True a dangling
@@ -224,7 +218,7 @@ def parse_conll(text: str, taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY,
             label = Label.parse(raw_label)
         except ValueError as e:
             raise ParseError(str(e), source, lineno) from None
-        if label.is_phi and not taxonomy.is_known(label.phi_type):
+        if label.is_phi and not DEFAULT_TAXONOMY.is_known(label.phi_type):
             raise ParseError(f"unknown PHI type {label.phi_type!r}", source, lineno)
         if label.kind == INSIDE:
             prev = tokens[-1].label if tokens else None
@@ -241,7 +235,7 @@ def parse_conll(text: str, taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY,
             raise ParseError(str(e), source, lineno) from None
 
     close_document()
-    return Corpus(tuple(documents), taxonomy)
+    return Corpus(tuple(documents))
 
 
 def serialize_conll(corpus: Corpus) -> str:
@@ -260,14 +254,13 @@ def serialize_conll(corpus: Corpus) -> str:
     return "".join(out)
 
 
-def read_conll(path, taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY,
-               repair: bool = False) -> Corpus:
+def read_conll(path, repair: bool = False) -> Corpus:
     with open(path, encoding="utf-8") as f:
         try:
             text = f.read()
         except UnicodeDecodeError as e:
             raise ParseError(f"not UTF-8 text: {e}", str(path)) from None
-    return parse_conll(text, taxonomy, repair=repair, source=str(path))
+    return parse_conll(text, repair=repair, source=str(path))
 
 
 @contextmanager
@@ -346,7 +339,7 @@ def _relabel(corpus: Corpus, label_of) -> Corpus:
             Sentence(tuple(Token(t.text, label_of(t.label))
                            for t in sent.tokens))
             for sent in doc.sentences))
-        for doc in corpus.documents), corpus.taxonomy)
+        for doc in corpus.documents))
 
 
 def map_to_coarse(corpus: Corpus) -> Corpus:
@@ -356,7 +349,7 @@ def map_to_coarse(corpus: Corpus) -> Corpus:
     cannot pass silently. (The fine type "ID" coincides with the coarse
     category "ID" and is mapped to itself; it cannot be told apart.)
     """
-    tax = corpus.taxonomy
+    tax = DEFAULT_TAXONOMY
     coarse_only = set(tax.coarse_of.values()) - set(tax.fine_types)
 
     def label_of(lab: Label) -> Label:
@@ -396,7 +389,7 @@ def split_corpus(corpus: Corpus, ratios: tuple[float, float, float],
     Sizes are floor(n * ratio); leftover documents go to the parts with the
     largest fractional remainders (ties resolved train, dev, test).
     """
-    if any(r <= 0 for r in ratios):
+    if not all(r > 0 for r in ratios):
         raise ValueError("ratios must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
@@ -414,7 +407,7 @@ def split_corpus(corpus: Corpus, ratios: tuple[float, float, float],
     parts = []
     at = 0
     for size in sizes:
-        parts.append(Corpus(tuple(docs[at:at + size]), corpus.taxonomy))
+        parts.append(Corpus(tuple(docs[at:at + size])))
         at += size
     return tuple(parts)
 
@@ -424,7 +417,6 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     n = len(corpus.documents)
     if n == 0:
         return CorpusStats(0, 0.0, 0.0, {})
-    tax = corpus.taxonomy
     tokens = 0
     phi_spans = 0
     by_coarse: dict[str, int] = {}
@@ -433,7 +425,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
             tokens += len(sent)
             for span in extract_entities(sent):
                 phi_spans += 1
-                coarse = tax.coarse_of.get(span.phi_type, span.phi_type)
+                coarse = DEFAULT_TAXONOMY.coarse_of.get(span.phi_type, span.phi_type)
                 by_coarse[coarse] = by_coarse.get(coarse, 0) + 1
     return CorpusStats(n, tokens / n, phi_spans / n, by_coarse)
 

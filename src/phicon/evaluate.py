@@ -14,9 +14,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .augment import AugmentConfig, augment_corpus
-from .corpus import Corpus, Label
+from .corpus import DEFAULT_TAXONOMY, Corpus, Label
 from .errors import PhiconError
-from .rng import RandomStream, derive_seed
+from .rng import LEFT_TO_RIGHT, RandomStream, derive_seed
 from . import tagger
 
 
@@ -56,14 +56,13 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 def binary_token_f1(gold: Corpus, pred: list[list[Label]]) -> EvalReport:
     """Micro P/R/F1 over all tokens binarized to PHI vs non-PHI, plus
     token-level per-coarse-category scores."""
-    tax = gold.taxonomy
     sents = list(gold.sentences())
     if len(sents) != len(pred):
         raise PhiconError(
             f"prediction count {len(pred)} != sentence count {len(sents)}")
 
     def coarse(label: Label) -> str | None:  # Outside has phi_type None
-        return tax.coarse_of.get(label.phi_type, label.phi_type)
+        return DEFAULT_TAXONOMY.coarse_of.get(label.phi_type, label.phi_type)
 
     # (gold, predicted) coarse category -> tokens; None is Outside
     pairs: Counter = Counter()
@@ -102,7 +101,7 @@ def _subsample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
             f"subsample of {n} documents at fraction {fraction} is empty")
     docs = list(corpus.documents)
     RandomStream(seed).shuffle(docs)
-    return Corpus(tuple(docs[:k]), corpus.taxonomy)
+    return Corpus(tuple(docs[:k]))
 
 
 def cross_dataset_eval(train: Corpus, test: Corpus, arms,
@@ -146,7 +145,7 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
         for name, cfg in arms:
             per_arm[name].append(run_one(s, cfg))
 
-    means = {name: sum(v) / len(v) for name, v in per_arm.items()}
+    means = {n: sum(v, LEFT_TO_RIGHT) / len(v) for n, v in per_arm.items()}
     return ExperimentResult(setting, train_fraction, alpha, per_arm, means)
 
 

@@ -18,6 +18,7 @@ import calendar
 import functools
 import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import ExhaustionError, LexiconError
 from .corpus import DEFAULT_TAXONOMY, PhiTaxonomy
@@ -154,12 +155,11 @@ class GeneratorSpec:
     phi_type: str
     patterns: tuple[str, ...]
     weights: tuple[float, ...] = ()
-    taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY
 
     def __post_init__(self):
         if not self.patterns:
             raise ValueError("patterns must be non-empty")
-        if self.phi_type not in self.taxonomy.generator_backed:
+        if self.phi_type not in DEFAULT_TAXONOMY.generator_backed:
             raise ValueError(f"{self.phi_type} is not generator-backed")
         if not self.weights:
             object.__setattr__(self, "weights", (1.0,) * len(self.patterns))
@@ -238,24 +238,25 @@ def generate_identifiers(spec: GeneratorSpec, count: int, seed: int) -> Lexicon:
 @dataclass(frozen=True)
 class LexiconRegistry:
     by_fine: dict[str, Lexicon] = field(default_factory=dict)
-    taxonomy: PhiTaxonomy = DEFAULT_TAXONOMY
+    taxonomy: ClassVar[PhiTaxonomy] = DEFAULT_TAXONOMY  # perfbench reads it
     # name -> Lexicon for every resolvable name, built once at construction
     _resolved: dict[str, Lexicon] = field(init=False, repr=False,
                                           compare=False)
 
     def __post_init__(self):
+        tax = DEFAULT_TAXONOMY
         for name, lex in self.by_fine.items():
-            if name not in self.taxonomy.fine_types:
+            if name not in tax.fine_types:
                 raise LexiconError(f"{name!r} is not a fine PHI type")
             if lex.phi_type != name:
                 raise LexiconError(
                     f"lexicon for {lex.phi_type} registered under {name}")
         resolved = {}
-        for coarse in self.taxonomy.coarse_types:
-            fines = [self.by_fine[f] for f in self.taxonomy.fines_of(coarse)
+        for coarse in tax.coarse_types:
+            fines = [self.by_fine[f] for f in tax.fines_of(coarse)
                      if f in self.by_fine]
             # "ID" is also a fine type and resolves only to that lexicon
-            if fines and coarse not in self.taxonomy.fine_types:
+            if fines and coarse not in tax.fine_types:
                 resolved[coarse] = Lexicon(coarse, tuple(dict.fromkeys(
                     e for lex in fines for e in lex.entries)))
         resolved.update(self.by_fine)
@@ -271,10 +272,9 @@ def registry_resolve(registry: LexiconRegistry, label_type: str) -> Lexicon:
     lex = registry._resolved.get(label_type)
     if lex is not None:
         return lex
-    tax = registry.taxonomy
-    if label_type in tax.fine_types:
+    if label_type in DEFAULT_TAXONOMY.fine_types:
         raise LexiconError(f"no lexicon registered for {label_type}")
-    if label_type in tax.coarse_of.values():
+    if label_type in DEFAULT_TAXONOMY.coarse_of.values():
         raise LexiconError(
             f"no lexicon registered for any fine type of {label_type}")
     raise LexiconError(f"unknown PHI type {label_type!r}")

@@ -17,6 +17,15 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+class _Float(float):
+    """sum(values, LEFT_TO_RIGHT) adds left to right, each step rounded as
+    `+` rounds, on every Python: from 3.12 on, sum() compensates rounding
+    when its start is an exact float, but not from a float subclass."""
+
+
+LEFT_TO_RIGHT = _Float()
+
+
 def _mix(z: int) -> int:
     """SplitMix64 finalizer: avalanche a 64-bit value."""
     z &= _MASK
@@ -71,7 +80,7 @@ class RandomStream:
 
     def weighted_choice(self, seq, weights):
         """Pick one element with probability proportional to its weight."""
-        total = float(sum(weights))
+        total = sum(weights, LEFT_TO_RIGHT)
         r = self.random() * total
         acc = 0.0
         for item, w in zip(seq, weights):

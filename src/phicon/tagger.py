@@ -14,11 +14,11 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 from .corpus import Corpus, Label, Sentence, atomic_open, serialize_conll
 from .errors import ModelFormatError, PhiconError
-from .rng import RandomStream, derive_seed
+from .rng import LEFT_TO_RIGHT, RandomStream, derive_seed
 
 FEATURE_TEMPLATE_VERSION = "ft1"
 _MODEL_MAGIC = "phicon-tagger"
@@ -229,7 +229,8 @@ def _labeler(model: TaggerModel):
     labels = [Label.parse(lbl) for lbl in model.label_set]
 
     def score(fs):  # float sums in feature order; no weighted feature: zeros
-        return [*map(sum, zip(*[r for r in map(rows.get, fs) if r]))] or zeros
+        return [*map(sum, zip(*[r for r in map(rows.get, fs) if r]),
+                     repeat(LEFT_TO_RIGHT))] or zeros
 
     def label(feats, picks):
         allowed = masks[None]

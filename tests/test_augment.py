@@ -12,7 +12,7 @@ from phicon.augment import (
     synonym_replace, write_records,
 )
 from phicon.corpus import O, Corpus, Document, Sentence, Token, validate_bio
-from phicon.errors import BioViolationError, LexiconError
+from phicon.errors import BioViolationError, LexiconError, PhiconError
 from phicon.rng import RandomStream
 from phicon.synonyms import PosTag, lookup_pos, lookup_synonyms
 from tests.conftest import DATA_DIR, FIG_SENTENCE, sent
@@ -203,6 +203,19 @@ class TestAugmentCorpus:
         assert all(len(d.sentences) == 1 for d in merged.documents[2:])
         assert len(records) == 4
 
+    def test_copy_id_taken_is_rejected(self, fixture_registry, tsv_provider):
+        # x's first copy would be a second "x#aug1", which parse_conll
+        # rejects; a corpus without it augments as before.
+        phi = sent(*FIG_SENTENCE)
+        corpus = Corpus((Document("x", (phi,)), Document("x#aug1", (phi,))))
+        with pytest.raises(PhiconError, match="'x#aug1' is already"):
+            augment_corpus(corpus, fixture_registry, tsv_provider,
+                           AugmentConfig(alpha=1))
+        merged, _ = augment_corpus(Corpus(corpus.documents[1:]),
+                                   fixture_registry, tsv_provider,
+                                   AugmentConfig(alpha=1))
+        assert [d.id for d in merged.documents] == ["x#aug1", "x#aug1#aug1"]
+
     def test_keep_context_sentences(self, fixture_registry, tsv_provider):
         corpus = _mini_corpus()
         cfg = AugmentConfig(alpha=1, keep_context_sentences=True)
@@ -390,8 +403,7 @@ def _lemma_corpus(provider):
         sent(("The", "O"), *[(w, "O") for w in words[k:k + 5]],
              ("Smith", "B-Doctor"))
         for k in range(0, len(words), 5))
-    return Corpus(synth.documents + (Document("lemmas", sentences),),
-                  synth.taxonomy)
+    return Corpus(synth.documents + (Document("lemmas", sentences),))
 
 
 class TestReferenceEquivalence:

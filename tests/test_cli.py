@@ -2,6 +2,8 @@ import contextlib
 import io
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,33 @@ class TestParsing:
         code = run(["stats", "--in", str(tmp_path / "nope.conll")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestRunAsModule:
+    """`python -m phicon` and `python -m phicon.cli` run the command line;
+    the second used to exit 0 having done nothing."""
+
+    def _run(self, cwd, *argv):
+        path = [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        return subprocess.run([sys.executable, "-m", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_version(self, tmp_path):
+        done = self._run(tmp_path, "phicon", "--version")
+        assert (done.returncode, done.stdout) == (0, phicon.__version__ + "\n")
+
+    def test_cli_module_writes_output(self, tmp_path):
+        done = self._run(tmp_path, "phicon.cli", "synth", "--site", "A",
+                         "--docs", "3", "--out", "f.conll")
+        assert done.returncode == 0
+        assert len(phicon.read_conll(tmp_path / "f.conll").documents) == 3
+
+    def test_missing_input(self, tmp_path):
+        done = self._run(tmp_path, "phicon", "stats", "--in", "missing.conll")
+        lines = done.stderr.splitlines()
+        assert done.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestConfig:
@@ -193,10 +222,14 @@ class TestSynthSplitStats:
                  for n in ("train", "dev", "test")]
         assert sizes == [8, 1, 3]  # 12 docs at 0.7/0.1/0.2
 
-    def test_bad_ratios(self, small_conll, tmp_path):
-        assert run(["split", "--in", str(small_conll),
-                    "--out-prefix", str(tmp_path / "p"),
-                    "--ratios", "0.5,0.5"]) == 1
+    def test_bad_ratios(self, small_conll, tmp_path, capsys):
+        # NaN fails every comparison, so it used to pass a `<= 0` test.
+        for ratios, message in (("0.5,0.5", "three comma-separated"),
+                                ("nan,0.5,0.5", "ratios must be positive")):
+            assert run(["split", "--in", str(small_conll),
+                        "--out-prefix", str(tmp_path / "p"),
+                        "--ratios", ratios]) == 1
+            assert message in capsys.readouterr().err
 
     def test_stats(self, small_conll, capsys):
         assert run(["stats", "--in", str(small_conll)]) == 0
@@ -310,6 +343,21 @@ class TestAugmentCommand:
         assert "unrecognized arguments: --jobs" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_copy_id_taken_writes_nothing(self, tmp_path, capsys):
+        # This used to exit 0 and write two "x#aug1" documents, which
+        # stats and train then rejected.
+        src = tmp_path / "in.conll"
+        src.write_text("#doc id=x\nSmith\tB-Doctor\n\n"
+                       "#doc id=x#aug1\nJones\tB-Doctor\n\n")
+        out = tmp_path / "aug.conll"
+        capsys.readouterr()
+        assert run(["augment", "--in", str(src), "--out", str(out),
+                    "--alpha", "1"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "'x#aug1'" in lines[0]
+        assert sorted(os.listdir(tmp_path)) == ["in.conll"]
 
     def test_dry_run_writes_nothing(self, small_conll, tmp_path, capsys):
         out = tmp_path / "aug.conll"

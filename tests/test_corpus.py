@@ -191,6 +191,14 @@ def _one_doc(*sents):
     return Corpus((Document("d", tuple(sents)),))
 
 
+class TestTaxonomy:
+    def test_coarse_of_is_total(self):
+        tax = phicon.DEFAULT_TAXONOMY
+        assert sorted(tax.coarse_of) == sorted(tax.fine_types)
+        assert len(tax.fine_types) == 11 and len(tax.coarse_types) == 5
+        assert tax.generator_backed <= set(tax.fine_types)
+
+
 class TestMapToCoarse:
     def test_doctor_and_zip(self):
         corpus = _one_doc(sent(("x", "B-Doctor"), ("y", "B-Zip")))

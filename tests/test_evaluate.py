@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import phicon
 from phicon.augment import AugmentConfig, augment_corpus
-from phicon.corpus import Corpus, Document, Label, Sentence
+from phicon.corpus import DEFAULT_TAXONOMY, Corpus, Document, Label, Sentence
 from phicon.errors import PhiconError
 from phicon import evaluate, tagger
 from phicon.evaluate import (
@@ -49,7 +49,7 @@ def _brute_force_binary(gold_rows, pred_rows):
 def _ref_binary_token_f1(gold, pred):
     """The hand-counted scorer that one category-pair count replaced; kept
     unchanged as a reference."""
-    tax = gold.taxonomy
+    tax = DEFAULT_TAXONOMY
     sents = list(gold.sentences())
     if len(sents) != len(pred):
         raise PhiconError(
@@ -104,7 +104,7 @@ def _ref_binary_token_f1(gold, pred):
 def _noised(corpus, seed):
     """The gold labels with about half of them replaced: by Outside, or by
     a Begin/Inside label of a random fine, coarse or off-taxonomy type."""
-    tax = corpus.taxonomy
+    tax = DEFAULT_TAXONOMY
     types = [*tax.fine_types, *tax.coarse_types, "Bogus"]
     rng = RandomStream(seed)
     rows = []
@@ -274,8 +274,7 @@ class TestCrossDatasetEval:
                             fine_sites]:
             train = Corpus(tuple(
                 Document(d.id, d.sentences[:1] + (Sentence(()),)
-                         + d.sentences[1:]) for d in train.documents),
-                train.taxonomy)
+                         + d.sentences[1:]) for d in train.documents))
             args = dict(train_fraction=0.2, n_seeds=2, epochs=2,
                         registry=builtin_registry_s,
                         provider=builtin_provider_s)

@@ -10,7 +10,7 @@ from phicon.corpus import (
     Corpus, Document, Label, read_conll, validate_bio, write_conll,
 )
 from phicon.errors import ModelFormatError, PhiconError
-from phicon.rng import RandomStream, derive_seed
+from phicon.rng import LEFT_TO_RIGHT, RandomStream, derive_seed
 from phicon.tagger import (
     FEATURE_TEMPLATE_VERSION, TaggerModel, corpus_fingerprint, featurize,
     featurize_sentences, load_model, predict, predict_corpus, predict_features,
@@ -570,6 +570,17 @@ class TestReferenceEquivalence:
         _assert_matches_reference(corpus, corpus, epochs, seed,
                                   tmp_path_factory.mktemp("model"))
 
+    def test_scores_sum_left_to_right(self, tmp_path):
+        # Found by the property test on Python 3.12: with sum()'s
+        # compensated rounding predict_corpus labelled the last "the"
+        # B-Doctor, where the left-to-right reference picks O.
+        a, the = ("a", "O"), ("the", "O")
+        corpus = Corpus((Document("d", (
+            sent(a, a, the, a, a, a),
+            sent(the, ("the", "B-Doctor"), the),
+            sent(a))),))
+        _assert_matches_reference(corpus, corpus, 1, 1, tmp_path)
+
     def test_no_weighted_feature_picks_outside(self):
         # Every score is 0, so the earliest allowed label, Outside, wins;
         # Inside labels are masked at the sentence start.
@@ -579,6 +590,25 @@ class TestReferenceEquivalence:
         s = sent(("Totally", "O"), ("unseen", "O"))
         assert predict(model, s) == _ref_predict(model, s) == [
             Label.parse("O"), Label.parse("O")]
+
+
+class TestLeftToRightSum:
+    def test_plain_rounding_on_every_python(self):
+        # Compensated summation, sum()'s default from Python 3.12, gives 1.0.
+        assert sum([1e16, 1.0, -1e16], LEFT_TO_RIGHT) == 0.0
+        assert sum([0.1] * 10, LEFT_TO_RIGHT) == 0.9999999999999999
+
+    def test_same_as_a_loop(self):
+        assert sum([], LEFT_TO_RIGHT) == 0.0
+        rng = RandomStream(5)
+        for n in range(1, 12):
+            values = [(rng.random() - 0.5) * 10.0 ** rng.randrange(20)
+                      for _ in range(n)]
+            total = 0.0
+            for v in values:
+                total += v
+            got = sum(values, LEFT_TO_RIGHT)
+            assert got == total and type(got) is float
 
 
 class TestPickCache:
