@@ -19,7 +19,7 @@ OUTSIDE = "O"
 BEGIN = "B"
 INSIDE = "I"
 
-_WS = ("\t", "\n", "\r", " ")
+_WS = frozenset("\t\n\r ")
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +58,7 @@ class Token:
     label: Label
 
     def __post_init__(self):
-        if not self.text or any(c in self.text for c in _WS):
+        if not self.text or not _WS.isdisjoint(self.text):
             raise ValueError(f"bad token text {self.text!r}")
 
 

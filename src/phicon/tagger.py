@@ -14,9 +14,11 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat, zip_longest
 
-from .corpus import Corpus, Label, Sentence, atomic_open, serialize_conll
+from .corpus import (
+    DEFAULT_TAXONOMY, Corpus, Label, Sentence, atomic_open, serialize_conll)
 from .errors import ModelFormatError, PhiconError
 from .rng import LEFT_TO_RIGHT, RandomStream, derive_seed
 
@@ -88,10 +90,6 @@ class TaggerModel:
             raise PhiconError("label set must contain Outside")
 
 
-def _features(sentence: Sentence) -> list:
-    return [featurize(sentence, i) for i in range(len(sentence))]
-
-
 def featurize_sentences(sentences) -> list:
     """Token features of each sentence, for train and predict_features. The
     context (previous word lower-cased or <S>, word, next word lower-cased or
@@ -118,12 +116,12 @@ def _bio_masks(label_set):
                    for prev in types}
 
 
-def _pick(score, picks, fs, allowed):
-    """One token's label index: the allowed one scoring highest in score(fs),
-    ties to the earlier. Cached in picks under (id(fs), id(allowed)): callers
-    keep fs alive while picks lives, and clear picks when scores change."""
-    if (pred := picks.get(key := (id(fs), id(allowed)))) is None:
-        pred = picks[key] = max(allowed, key=score(fs).__getitem__)
+def _pick(score, picks, key, allowed, *args):
+    """The allowed label index scoring highest in score(*args), ties to the
+    earlier, cached in picks under (key, id(allowed)): callers keep allowed
+    alive, give a key that fixes the scores, and clear picks on updates."""
+    if (pred := picks.get(key := (key, id(allowed)))) is None:
+        pred = picks[key] = max(allowed, key=score(*args).__getitem__)
     return pred
 
 
@@ -181,7 +179,7 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
             allowed = masks[None]
             for fs, gold in zip(feats, golds):
                 step += 1
-                pred = _pick(score, picks, fs, allowed)
+                pred = _pick(score, picks, id(fs), allowed, fs)
                 allowed = masks[types[pred]]
                 if pred == gold:
                     continue
@@ -220,22 +218,23 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
 
 
 def _labeler(model: TaggerModel):
-    """label(feats, picks) yields one featurized sentence's labels, picked
-    left to right by _pick under the BIO mask."""
+    """label(keys, feats, picks) yields one sentence's labels, picked left to
+    right by _pick under the BIO mask: token t's pick is cached under keys[t],
+    and feats(t), its feature list, is called only on a miss."""
     rows = {f: [d.get(lbl, 0.0) for lbl in model.label_set]
             for f, d in model.weights.items()}
     zeros = [0.0] * len(model.label_set)
     types, masks = _bio_masks(model.label_set)
     labels = [Label.parse(lbl) for lbl in model.label_set]
 
-    def score(fs):  # float sums in feature order; no weighted feature: zeros
-        return [*map(sum, zip(*[r for r in map(rows.get, fs) if r]),
+    def score(feats, t):  # float sums in feature order; no weights: zeros
+        return [*map(sum, zip(*[r for r in map(rows.get, feats(t)) if r]),
                      repeat(LEFT_TO_RIGHT))] or zeros
 
-    def label(feats, picks):
+    def label(keys, feats, picks):
         allowed = masks[None]
-        for fs in feats:
-            yield labels[pred := _pick(score, picks, fs, allowed)]
+        for t, key in enumerate(keys):
+            yield labels[pred := _pick(score, picks, key, allowed, feats, t)]
             allowed = masks[types[pred]]
     return label
 
@@ -244,18 +243,28 @@ def predict_features(model: TaggerModel, corpus_feats) -> list[list[Label]]:
     """One label list per featurized sentence (see featurize_sentences). Its
     one pick cache keys by list id, so every list is held until it returns."""
     label, picks = _labeler(model), {}
-    return [[*label(feats, picks)] for feats in list(corpus_feats)]
+    return [[*label(map(id, feats), feats.__getitem__, picks)]
+            for feats in list(corpus_feats)]
+
+
+def _contexts(sentence: Sentence):  # (prev text or None, text, next or None)
+    texts = [None, *(t.text for t in sentence.tokens), None]
+    return zip(texts, texts[1:], texts[2:])
 
 
 def predict(model: TaggerModel, sentence: Sentence) -> list[Label]:
     """One label per token; output always passes validate_bio."""
-    return [*_labeler(model)(_features(sentence), {})]
+    label = _labeler(model)
+    return [*label(_contexts(sentence), partial(featurize, sentence), {})]
 
 
 def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
-    # One sentence's features and picks at a time, to keep peak memory flat.
-    label = _labeler(model)
-    return [[*label(_features(s), {})] for s in corpus.sentences()]
+    """One label list per sentence. A token is featurized and scored only at
+    the first sight of its (context, allowed mask) pair: the one pick cache
+    holds an int per distinct pair, no feature lists, so memory stays flat."""
+    label, picks = _labeler(model), {}
+    return [[*label(_contexts(s), partial(featurize, s), picks)]
+            for s in corpus.sentences()]
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +299,9 @@ def save_model(model: TaggerModel, path) -> None:
 
 
 def load_model(path) -> TaggerModel:
-    """The model that save_model wrote to path. Besides the format, the
-    labels must parse, the label table must hold O and no label twice, and
-    every weight row's label must be in it and its weight finite."""
+    """The model that save_model wrote to path. Besides the format, labels
+    must parse with known PHI types, the table hold O and no label twice,
+    and every weight row's label be in it and its weight finite."""
     return _read_model(path, path)
 
 
@@ -312,8 +321,9 @@ def _read_model(file, path) -> TaggerModel:  # load_model, calling file path
                 f"unsupported feature template {header[2]} "
                 f"(want {FEATURE_TEMPLATE_VERSION})")
         label_set = lines[1][len("labels "):].split("\t")
-        for lbl in label_set:
-            Label.parse(lbl)  # ValueError on a malformed label
+        for label in map(Label.parse, label_set):  # ValueError if malformed
+            if label.is_phi and not DEFAULT_TAXONOMY.is_known(label.phi_type):
+                raise ModelFormatError(f"{path}: unknown PHI type in {label}")
         labels = set(label_set)
         if len(labels) != len(label_set) or "O" not in labels:
             raise ModelFormatError(

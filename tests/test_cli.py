@@ -433,6 +433,22 @@ class TestModelCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_eval_unknown_phi_type(self, tmp_path, capsys):
+        # Such a model used to load, and eval printed a Doctorz row.
+        corpus, model = tmp_path / "fine.conll", tmp_path / "model.txt"
+        assert run(["synth", "--site", "A", "--docs", "12", "--seed", "1",
+                    "--out", str(corpus)]) == 0
+        assert run(["train", "--in", str(corpus), "--model", str(model),
+                    "--epochs", "1"]) == 0
+        assert "\tB-Doctor\t" in model.read_text()
+        model.write_text(model.read_text().replace("B-Doctor", "B-Doctorz"))
+        capsys.readouterr()
+        assert run(["eval", "--model", str(model),
+                    "--test", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "B-Doctorz" in err
+
 
 class TestExperimentCommands:
     @pytest.fixture

@@ -150,6 +150,16 @@ def test_extract_relabel_identity(sentence):
     assert relabel_from_spans(sentence.texts(), spans) == sentence
 
 
+class TestToken:
+    @pytest.mark.parametrize("text", ["", "a b", "a\tb", "a\nb", "a\rb"])
+    def test_whitespace_or_empty_text_rejected(self, text):
+        with pytest.raises(ValueError, match="bad token text"):
+            Token(text, O)
+
+    def test_non_breaking_space_accepted(self):
+        assert Token("a\u00a0b", O).text == "a\u00a0b"
+
+
 class TestValidateBio:
     def test_all_outside(self):
         assert phicon.validate_bio(sent(("a", "O"), ("b", "O"))) == []

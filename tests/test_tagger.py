@@ -343,7 +343,8 @@ class TestAtomicSave:
 
     @pytest.mark.parametrize("case", [
         "space-in-fingerprint", "cr-in-feature", "tab-in-feature",
-        "nan-weight", "label-not-in-table", "template-ft2", "extra-meta-key"])
+        "nan-weight", "label-not-in-table", "template-ft2", "extra-meta-key",
+        "unknown-phi-type"])
     def test_unreloadable_model_refused(self, tmp_path, case):
         # Each used to save a file that load_model then rejected, or (the
         # extra meta key) reloaded as a different model.
@@ -361,6 +362,8 @@ class TestAtomicSave:
             weights = {"w=a": {"B-Date": 1.5}}
         elif case == "template-ft2":
             template = "ft2"
+        elif case == "unknown-phi-type":
+            labels = ["O", "B-Wizard"]
         else:
             meta["extra"] = "x"
         path = tmp_path / "model.txt"
@@ -612,8 +615,10 @@ class TestLeftToRightSum:
 
 
 class TestPickCache:
-    """Picks are cached under (id(features), id(mask)); these pin both parts
-    of the key and that every keyed list outlives its key."""
+    """predict_features caches picks under (id(features), id(mask)), and
+    predict_corpus under (token context, id(mask)) for the whole corpus;
+    these pin every part of both keys and that every keyed list outlives its
+    key."""
 
     def test_fresh_unshared_feature_lists(self, fixture_corpora):
         # Each token's list is built afresh and reachable only through the
@@ -647,6 +652,61 @@ class TestPickCache:
             "B-Doctor", "I-Doctor", "B-Doctor", "O", "B-Doctor",
             "B-Doctor", "I-Doctor"]
         assert predict_features(model, feats) == expected
+
+    def test_corpus_context_after_different_predecessors(self):
+        # "Dr Smith" recurs: at the start Dr is B-Doctor and Smith then
+        # I-Doctor; after "the" Dr is O, which masks Inside, and Smith is
+        # B-Doctor. After "a", prev=a makes that Smith O, so a key of the
+        # word alone goes wrong too.
+        model = TaggerModel({"w=dr": {"B-Doctor": 1.0},
+                             "prev=the": {"O": 2.0},
+                             "prev=a": {"O": 3.0},
+                             "w=smith": {"B-Doctor": 0.5, "I-Doctor": 2.0}},
+                            ["O", "B-Doctor", "I-Doctor"],
+                            FEATURE_TEMPLATE_VERSION, {})
+        sents = [sent(("Dr", "O"), ("Smith", "O")),
+                 sent(("the", "O"), ("Dr", "O"), ("Smith", "O")),
+                 sent(("a", "O"), ("Smith", "O")),
+                 sent(("Dr", "O"), ("Smith", "O"))]
+        expected = [_ref_predict(model, s) for s in sents]
+        assert [[str(lbl) for lbl in lbls] for lbls in expected] == [
+            ["B-Doctor", "I-Doctor"], ["O", "O", "B-Doctor"], ["O", "O"],
+            ["B-Doctor", "I-Doctor"]]
+        corpus = Corpus((Document("d", tuple(sents)),))
+        assert predict_corpus(model, corpus) == expected
+        assert [predict(model, s) for s in sents] == expected
+
+    def test_corpus_word_at_start_and_inside(self):
+        # "Smith" after an O token and at the start share the mask, but
+        # only the start carries atstart=1. A literal "<S>" token is not the
+        # start either, though featurize reads it as the start's prev=<s>.
+        model = TaggerModel({"atstart=1": {"B-Doctor": 1.0},
+                             "w=a": {"O": 5.0}, "w=<s>": {"O": 5.0},
+                             "w=smith": {"O": 0.5}},
+                            ["O", "B-Doctor"], FEATURE_TEMPLATE_VERSION, {})
+        sents = [sent(("a", "O"), ("Smith", "O")),
+                 sent(("<S>", "O"), ("Smith", "O")),
+                 sent(("Smith", "O"),)]
+        expected = [_ref_predict(model, s) for s in sents]
+        assert [[str(lbl) for lbl in lbls] for lbls in expected] == [
+            ["O", "O"], ["O", "O"], ["B-Doctor"]]
+        corpus = Corpus((Document("d", tuple(sents)),))
+        assert predict_corpus(model, corpus) == expected
+        assert [predict(model, s) for s in sents] == expected
+
+    def test_corpus_featurizes_each_context_once(self, monkeypatch):
+        calls = []
+
+        def counting(sentence, index):
+            calls.append(index)
+            return featurize(sentence, index)
+        monkeypatch.setattr(tagger, "featurize", counting)
+        s = sent(*FIG_SENTENCE)
+        corpus = Corpus((Document("d", (s,) * 50),))
+        model = train(Corpus((Document("t", (s,)),)), epochs=2, seed=0)
+        calls.clear()
+        assert predict_corpus(model, corpus) == [_ref_predict(model, s)] * 50
+        assert sorted(calls) == list(range(len(s)))
 
 
 class TestSharedFeatures:
