@@ -22,7 +22,7 @@ from .augment import (
     phi_augment, random_insert, synonym_replace,
 )
 from .tagger import (
-    TaggerModel, featurize, load_model, predict, predict_corpus,
+    TaggerModel, featurize, load_model, predict_corpus,
     save_model, train,
 )
 from .evaluate import (

@@ -200,7 +200,15 @@ def parse_conll(text: str, repair: bool = False,
         sentences = []
         doc_id = None
 
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    # One str.find walk, no list of lines; equal texts and labels are shared.
+    texts: dict[str, str] = {}
+    labels: dict[str, Label] = {}
+    start = lineno = 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line, start, lineno = text[start:end], end + 1, lineno + 1
         if line.startswith("#doc id="):
             close_document()
             doc_id = line[len("#doc id="):]
@@ -214,12 +222,16 @@ def parse_conll(text: str, repair: bool = False,
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError(f"expected two columns, got {line!r}", source, lineno)
         word, raw_label = parts
-        try:
-            label = Label.parse(raw_label)
-        except ValueError as e:
-            raise ParseError(str(e), source, lineno) from None
-        if label.is_phi and not DEFAULT_TAXONOMY.is_known(label.phi_type):
-            raise ParseError(f"unknown PHI type {label.phi_type!r}", source, lineno)
+        word = texts.setdefault(word, word)
+        label = labels.get(raw_label)
+        if label is None:
+            try:
+                label = Label.parse(raw_label)
+            except ValueError as e:
+                raise ParseError(str(e), source, lineno) from None
+            if label.is_phi and not DEFAULT_TAXONOMY.is_known(label.phi_type):
+                raise ParseError(f"unknown PHI type {label.phi_type!r}", source, lineno)
+            labels[raw_label] = label
         if label.kind == INSIDE:
             prev = tokens[-1].label if tokens else None
             ok = prev is not None and prev.is_phi and prev.phi_type == label.phi_type
@@ -244,13 +256,15 @@ def serialize_conll(corpus: Corpus) -> str:
     parse_conll(serialize_conll(c)) == c for every valid corpus; output is
     empty for an empty corpus and otherwise ends with a single newline.
     """
-    out: list[str] = []
-    for doc in corpus.documents:
-        out.append(f"#doc id={doc.id}\n")
-        for sent in doc.sentences:
-            for tok in sent.tokens:
-                out.append(f"{tok.text}\t{tok.label}\n")
-            out.append("\n")
+    return "".join(map(_document_text, corpus.documents))
+
+
+def _document_text(doc: Document) -> str:
+    out = [f"#doc id={doc.id}\n"]
+    for sent in doc.sentences:
+        for tok in sent.tokens:
+            out.append(f"{tok.text}\t{tok.label}\n")
+        out.append("\n")
     return "".join(out)
 
 
@@ -278,8 +292,8 @@ def atomic_open(path):
 
 
 def write_conll(corpus: Corpus, path) -> None:
-    with atomic_open(path) as f:
-        f.write(serialize_conll(corpus))
+    with atomic_open(path) as f:  # per document, never the whole file
+        f.writelines(map(_document_text, corpus.documents))
 
 
 # ---------------------------------------------------------------------------

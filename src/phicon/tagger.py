@@ -252,12 +252,6 @@ def _contexts(sentence: Sentence):  # (prev text or None, text, next or None)
     return zip(texts, texts[1:], texts[2:])
 
 
-def predict(model: TaggerModel, sentence: Sentence) -> list[Label]:
-    """One label per token; output always passes validate_bio."""
-    label = _labeler(model)
-    return [*label(_contexts(sentence), partial(featurize, sentence), {})]
-
-
 def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
     """One label list per sentence. A token is featurized and scored only at
     the first sight of its (context, allowed mask) pair: the one pick cache

@@ -1,4 +1,6 @@
+import gc
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +62,66 @@ class TestParse:
             phicon.parse_conll("#doc id=a\nx\tO\n\n#doc id=a\ny\tO\n\n")
 
 
+class TestOnePassParse:
+    """parse_conll walks its text once, shares equal token texts and labels,
+    and reports errors as a split on "\\n" would."""
+
+    def test_equal_texts_and_labels_shared(self):
+        text = ("#doc id=a\nSmith\tB-Patient\nthe\tO\n\n"
+                "#doc id=b\nthe\tO\nSmith\tB-Patient\nsaw\tO\nthe\tO\n\n")
+        tokens = [t for s in phicon.parse_conll(text).sentences()
+                  for t in s.tokens]
+        smith, the = tokens[0], tokens[1]
+        assert all(t.text is smith.text and t.label is smith.label
+                   for t in tokens if t.text == "Smith")
+        assert all(t.text is the.text and t.label is the.label
+                   for t in tokens if t.text == "the")
+        assert len({id(t.text) for t in tokens}) == \
+            len({t.text for t in tokens}) == 3
+
+    def test_transient_memory_below_text_length(self, site_corpora):
+        text = phicon.serialize_conll(site_corpora[1])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus = phicon.parse_conll(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus == site_corpora[1]
+        assert peak - kept < len(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("#doc id=a\nx\tO\n\ny\tB-Date\nz\tQ\n", "<string>:5: bad label 'Q'"),
+        ("x\tO\ny\tQ\nz\tQ\n", "<string>:2: bad label 'Q'"),
+        ("x\tO\ny\tO\nz\tB-Doctorz\n",
+         "<string>:3: unknown PHI type 'Doctorz'"),
+        ("x\tO\r\ny\tO\r\n", "<string>:1: bad label 'O\\r'"),
+        ("x\tB-Doctor\ny\tI-Doctor\nz\tO\nw\tI-Doctor\n",
+         "<string>:4: invalid BIO transition to I-Doctor"),
+    ])
+    def test_error_line_and_message(self, text, message):
+        with pytest.raises(ParseError) as err:
+            phicon.parse_conll(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, shape", [
+        ("x\tO\ny\tO", [[2]]),
+        ("x\tO\n\n\n#doc id=b\ny\tO\n\nz\tO", [[1], [1, 1]]),
+    ])
+    def test_lines_split_on_newline(self, text, shape):
+        corpus = phicon.parse_conll(text)
+        assert [[len(s) for s in d.sentences] for d in corpus.documents] \
+            == shape
+
+    def test_repair_keeps_valid_inside(self):
+        text = ("x\tB-Doctor\ny\tI-Doctor\nz\tO\n"
+                "w\tI-Doctor\nv\tI-Doctor\n")
+        labels = [str(t.label) for t in phicon.parse_conll(
+            text, repair=True).documents[0].sentences[0].tokens]
+        assert labels == ["B-Doctor", "I-Doctor", "O", "B-Doctor", "I-Doctor"]
+
+
 class TestSerialize:
     def test_empty_corpus(self):
         assert phicon.serialize_conll(Corpus(())) == ""
@@ -90,6 +152,14 @@ class TestFileIO:
                 raise OSError("disk full")
         assert path.read_text() == FIG_TEXT
         assert os.listdir(tmp_path) == ["out.conll"]
+
+    def test_write_equals_serialize(self, tmp_path, site_corpora):
+        path = tmp_path / "out.conll"
+        for corpus in (site_corpora[1], Corpus(())):
+            phicon.write_conll(corpus, path)
+            assert path.read_bytes() == \
+                phicon.serialize_conll(corpus).encode("utf-8")
+        assert path.read_bytes() == b""
 
     def test_rewrite_replaces_whole_file(self, tmp_path):
         path = tmp_path / "out.conll"

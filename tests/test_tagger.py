@@ -13,7 +13,7 @@ from phicon.errors import ModelFormatError, PhiconError
 from phicon.rng import LEFT_TO_RIGHT, RandomStream, derive_seed
 from phicon.tagger import (
     FEATURE_TEMPLATE_VERSION, TaggerModel, corpus_fingerprint, featurize,
-    featurize_sentences, load_model, predict, predict_corpus, predict_features,
+    featurize_sentences, load_model, predict_corpus, predict_features,
     save_model, train,
 )
 from tests.conftest import FIG_SENTENCE, sent
@@ -67,13 +67,17 @@ def _train_corpus():
     return Corpus((Document("train", tuple(sents)),))
 
 
+def _predict_one(model, sentence):
+    return predict_corpus(model, Corpus((Document("d", (sentence,)),)))[0]
+
+
 class TestTraining:
     def test_memorizes_training_data(self):
         corpus = _train_corpus()
         model = train(corpus, epochs=10, seed=1)
         total = correct = 0
         for s in corpus.sentences():
-            preds = predict(model, s)
+            preds = _predict_one(model, s)
             for tok, pred in zip(s.tokens, preds):
                 total += 1
                 correct += tok.label == pred
@@ -170,7 +174,7 @@ class TestTraining:
 class TestPrediction:
     def test_unseen_tokens_get_some_label(self):
         model = train(_train_corpus(), epochs=3, seed=0)
-        preds = predict(model, sent(("Totally", "O"), ("unseen", "O")))
+        preds = _predict_one(model, sent(("Totally", "O"), ("unseen", "O")))
         assert len(preds) == 2
         assert all(isinstance(p, Label) for p in preds)
 
@@ -189,7 +193,7 @@ class TestPrediction:
         # Predictions are BIO-valid by construction on arbitrary input.
         model = train(_train_corpus(), epochs=2, seed=3)
         s = sent(*((w, "O") for w in words))
-        preds = predict(model, s)
+        preds = _predict_one(model, s)
         relabeled = sent(*((w, str(p)) for w, p in zip(words, preds)))
         assert not validate_bio(relabeled)
 
@@ -561,7 +565,7 @@ class TestReferenceEquivalence:
             model = train(corpus, epochs=epochs, seed=2)
             assert model.weights == ref.weights
             s = sent(("Totally", "O"), ("unseen", "O"), ("Smith", "O"))
-            assert predict(model, s) == _ref_predict(ref, s)
+            assert _predict_one(model, s) == _ref_predict(ref, s)
 
     @settings(max_examples=100, deadline=None)
     @given(corpus=_small_corpora(), epochs=st.integers(1, 12),
@@ -591,7 +595,7 @@ class TestReferenceEquivalence:
                             ["I-Doctor", "O", "B-Doctor"],
                             FEATURE_TEMPLATE_VERSION, {})
         s = sent(("Totally", "O"), ("unseen", "O"))
-        assert predict(model, s) == _ref_predict(model, s) == [
+        assert _predict_one(model, s) == _ref_predict(model, s) == [
             Label.parse("O"), Label.parse("O")]
 
 
@@ -674,7 +678,6 @@ class TestPickCache:
             ["B-Doctor", "I-Doctor"]]
         corpus = Corpus((Document("d", tuple(sents)),))
         assert predict_corpus(model, corpus) == expected
-        assert [predict(model, s) for s in sents] == expected
 
     def test_corpus_word_at_start_and_inside(self):
         # "Smith" after an O token and at the start share the mask, but
@@ -692,7 +695,6 @@ class TestPickCache:
             ["O", "O"], ["O", "O"], ["B-Doctor"]]
         corpus = Corpus((Document("d", tuple(sents)),))
         assert predict_corpus(model, corpus) == expected
-        assert [predict(model, s) for s in sents] == expected
 
     def test_corpus_featurizes_each_context_once(self, monkeypatch):
         calls = []
