@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .corpus import (
-    BEGIN, INSIDE, O, Corpus, Document, Label, Sentence, Token, atomic_open,
+    INSIDE, O, Corpus, Document, Label, Sentence, Token, atomic_open,
     extract_entities, validate_bio,
 )
 from .errors import BioViolationError, LexiconError, PhiconError
@@ -103,9 +103,10 @@ def phi_augment(sentence: Sentence, registry: LexiconRegistry,
                                avoid=span.surface)
         words = entity.split(" ")
         start = len(new_tokens)
-        new_tokens.append(Token(words[0], Label(BEGIN, span.phi_type)))
-        new_tokens.extend(
-            Token(w, Label(INSIDE, span.phi_type)) for w in words[1:])
+        new_tokens.append(Token(words[0], sentence.tokens[span.start].label))
+        if len(words) > 1:  # one Inside label per span, shared by its words
+            inside = Label(INSIDE, span.phi_type)
+            new_tokens.extend(Token(w, inside) for w in words[1:])
         replacements.append(Replacement(
             start, len(new_tokens), span.phi_type, span.surface, entity))
         cursor = span.end

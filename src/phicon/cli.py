@@ -83,7 +83,7 @@ def load_config(path) -> dict:
     """The INI config as {section: {key: raw string}}; unknown sections or
     keys are rejected. Values are typed where a command reads them."""
     cp = configparser.ConfigParser()
-    if not cp.read(path, encoding="utf-8"):
+    if not cp.read(path, encoding="utf-8-sig"):
         raise PhiconError(f"config file not found: {path}")
     out = {}
     for section in cp.sections():

@@ -174,7 +174,9 @@ def parse_conll(text: str, repair: bool = False,
 
     Strict mode rejects invalid BIO transitions; with repair=True a dangling
     Inside is relabeled Begin. Tokens before any `#doc` marker go into an
-    implicit document with id "doc0".
+    implicit document with id "doc0". Each distinct token line is parsed
+    once per call: its repeats share one Token (a repaired one is fresh),
+    and the BIO check still runs at every occurrence.
     """
     documents: list[Document] = []
     doc_id: str | None = None
@@ -200,9 +202,9 @@ def parse_conll(text: str, repair: bool = False,
         sentences = []
         doc_id = None
 
-    # One str.find walk, no list of lines; equal texts and labels are shared.
-    texts: dict[str, str] = {}
+    # One str.find walk, no list of lines; equal lines and labels are shared.
     labels: dict[str, Label] = {}
+    lines: dict[str, Token] = {}
     start = lineno = 0
     while start <= len(text):
         end = text.find("\n", start)
@@ -218,33 +220,36 @@ def parse_conll(text: str, repair: bool = False,
         if line == "":
             close_sentence()
             continue
-        parts = line.split("\t") if "\t" in line else line.split(" ")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError(f"expected two columns, got {line!r}", source, lineno)
-        word, raw_label = parts
-        word = texts.setdefault(word, word)
-        label = labels.get(raw_label)
-        if label is None:
+        tok = lines.get(line)
+        if tok is not None:
+            label = tok.label
+        else:
+            parts = line.split("\t") if "\t" in line else line.split(" ")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise ParseError(f"expected two columns, got {line!r}", source, lineno)
+            word, raw_label = parts
+            label = labels.get(raw_label)
+            if label is None:
+                try:
+                    label = Label.parse(raw_label)
+                except ValueError as e:
+                    raise ParseError(str(e), source, lineno) from None
+                if label.is_phi and not DEFAULT_TAXONOMY.is_known(label.phi_type):
+                    raise ParseError(
+                        f"unknown PHI type {label.phi_type!r}", source, lineno)
+                labels[raw_label] = label
+        dangling = label.kind == INSIDE and not (
+            tokens and tokens[-1].label.phi_type == label.phi_type)
+        if dangling and not repair:
+            raise ParseError(f"invalid BIO transition to {label}", source, lineno)
+        if tok is None:
             try:
-                label = Label.parse(raw_label)
+                tok = lines[line] = Token(word, label)
             except ValueError as e:
                 raise ParseError(str(e), source, lineno) from None
-            if label.is_phi and not DEFAULT_TAXONOMY.is_known(label.phi_type):
-                raise ParseError(f"unknown PHI type {label.phi_type!r}", source, lineno)
-            labels[raw_label] = label
-        if label.kind == INSIDE:
-            prev = tokens[-1].label if tokens else None
-            ok = prev is not None and prev.is_phi and prev.phi_type == label.phi_type
-            if not ok:
-                if repair:
-                    label = Label(BEGIN, label.phi_type)
-                else:
-                    raise ParseError(
-                        f"invalid BIO transition to {label}", source, lineno)
-        try:
-            tokens.append(Token(word, label))
-        except ValueError as e:
-            raise ParseError(str(e), source, lineno) from None
+        if dangling:  # repaired Tokens are never stored in `lines`
+            tok = Token(tok.text, Label(BEGIN, label.phi_type))
+        tokens.append(tok)
 
     close_document()
     return Corpus(tuple(documents))
@@ -269,7 +274,7 @@ def _document_text(doc: Document) -> str:
 
 
 def read_conll(path, repair: bool = False) -> Corpus:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             text = f.read()
         except UnicodeDecodeError as e:

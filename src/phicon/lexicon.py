@@ -48,7 +48,7 @@ def load_lexicon(path, phi_type: str) -> Lexicon:
     keeping first occurrence."""
     entries: list[str] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for line in f:
             entry = " ".join(line.split())
             if entry and entry not in seen:

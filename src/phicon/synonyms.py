@@ -191,7 +191,7 @@ def load_tsv(path, stopwords=STOPWORDS) -> SynonymProvider:
     starting with '#' are skipped.
     """
     index: dict[tuple[str, PosTag], set] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

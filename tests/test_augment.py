@@ -69,6 +69,15 @@ class TestPhiAugment:
         with pytest.raises(BioViolationError):
             phi_augment(s, singleton_registry, RandomStream(1))
 
+    def test_multiword_replacement_shares_its_labels(self, fig_sentence,
+                                                     singleton_registry):
+        out, _ = phi_augment(
+            fig_sentence, singleton_registry, RandomStream(1))
+        begin, *inside = out.tokens[5:]
+        assert [t.text for t in inside] == ["Health", "Center"]
+        assert inside[0].label is inside[1].label
+        assert begin.label is fig_sentence.tokens[5].label
+
 
 class TestSynonymReplace:
     def test_phi_tokens_immune(self, fig_sentence, tsv_provider):

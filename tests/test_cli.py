@@ -97,6 +97,11 @@ class TestConfig:
         with pytest.raises(PhiconError):
             load_config(path)
 
+    def test_leading_bom_ignored(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes("\ufeff[augment]\nalpha = 3\n".encode("utf-8"))
+        assert load_config(path) == {"augment": {"alpha": "3"}}
+
     def test_missing_config_file(self, tmp_path):
         assert run(["--config", str(tmp_path / "none.ini"),
                     "stats", "--in", "x"]) == 1

@@ -63,8 +63,8 @@ class TestParse:
 
 
 class TestOnePassParse:
-    """parse_conll walks its text once, shares equal token texts and labels,
-    and reports errors as a split on "\\n" would."""
+    """parse_conll walks its text once, shares the Tokens of equal lines and
+    equal labels, and reports errors as a split on "\\n" would."""
 
     def test_equal_texts_and_labels_shared(self):
         text = ("#doc id=a\nSmith\tB-Patient\nthe\tO\n\n"
@@ -122,6 +122,55 @@ class TestOnePassParse:
         assert labels == ["B-Doctor", "I-Doctor", "O", "B-Doctor", "I-Doctor"]
 
 
+class TestLineMemo:
+    """Each distinct token line is parsed once per call; its repeats share
+    one Token, and the BIO check still runs at every occurrence."""
+
+    def test_equal_lines_share_one_token(self):
+        text = ("#doc id=a\nSmith\tB-Patient\nthe\tO\n\nthe\tO\n\n"
+                "#doc id=b\nthe\tO\nSmith\tB-Patient\n\n")
+        corpus = phicon.parse_conll(text)
+        tokens = [t for s in corpus.sentences() for t in s.tokens]
+        assert [t.text for t in tokens] == ["Smith", "the", "the", "the", "Smith"]
+        assert tokens[0] is tokens[4]
+        assert tokens[1] is tokens[2] is tokens[3]
+
+    def test_one_token_per_distinct_line(self, site_corpora):
+        text = phicon.serialize_conll(site_corpora[1])
+        corpus = phicon.parse_conll(text)
+        tokens = [t for s in corpus.sentences() for t in s.tokens]
+        distinct = {line for line in text.split("\n")
+                    if line and not line.startswith("#doc id=")}
+        assert len(tokens) > len(distinct)
+        assert len({id(t) for t in tokens}) == len(distinct)
+
+    REPEATED_INSIDE = ("x\tB-Doctor\ny\tI-Doctor\nz\tO\n"
+                       "y\tI-Doctor\nw\tB-Doctor\ny\tI-Doctor\n")
+
+    def test_repeated_line_dangling_later_raises_there(self):
+        with pytest.raises(ParseError) as err:
+            phicon.parse_conll(self.REPEATED_INSIDE)
+        assert str(err.value) == \
+            "<string>:4: invalid BIO transition to I-Doctor"
+
+    def test_repair_only_at_dangling_occurrence(self):
+        tokens = phicon.parse_conll(
+            self.REPEATED_INSIDE, repair=True).documents[0].sentences[0].tokens
+        assert [str(t.label) for t in tokens] == [
+            "B-Doctor", "I-Doctor", "O", "B-Doctor", "B-Doctor", "I-Doctor"]
+        assert tokens[1] is tokens[5]
+        assert tokens[3] is not tokens[1]
+
+    @pytest.mark.parametrize("repair, message", [
+        (False, "<string>:2: invalid BIO transition to I-Doctor"),
+        (True, "<string>:2: bad token text 'a\\rb'"),
+    ])
+    def test_bad_text_and_dangling_inside(self, repair, message):
+        with pytest.raises(ParseError) as err:
+            phicon.parse_conll("x\tO\na\rb\tI-Doctor\n", repair=repair)
+        assert str(err.value) == message
+
+
 class TestSerialize:
     def test_empty_corpus(self):
         assert phicon.serialize_conll(Corpus(())) == ""
@@ -137,6 +186,13 @@ class TestSerialize:
 
 
 class TestFileIO:
+    @pytest.mark.parametrize("text", [
+        "#doc id=a\nx\tO\n\n", "x\tO\n"])
+    def test_leading_bom_ignored(self, tmp_path, text):
+        path = tmp_path / "bom.conll"
+        path.write_bytes(("\ufeff" + text).encode("utf-8"))
+        assert phicon.read_conll(path) == phicon.parse_conll(text)
+
     def test_non_utf8_input_is_parse_error(self, tmp_path):
         path = tmp_path / "latin1.conll"
         path.write_bytes("#doc id=a\nJos\xe9\tB-Patient\n\n".encode("latin-1"))

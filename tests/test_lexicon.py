@@ -34,6 +34,12 @@ class TestLoadLexicon:
         with pytest.raises(OSError):
             phicon.load_lexicon(tmp_path / "nope.txt", "Hospital")
 
+    def test_leading_bom_ignored(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes("\ufeffJohn Smith\nAnn Lee\n".encode("utf-8"))
+        lex = phicon.load_lexicon(path, "Patient")
+        assert lex.entries == ("John Smith", "Ann Lee")
+
     def test_scale(self, tmp_path):
         # shaped like the real Hospital list: 5,400 entries in, 5,400 out
         path = tmp_path / "hospitals.txt"

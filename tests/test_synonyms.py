@@ -75,6 +75,13 @@ class TestTsvLoader:
         with pytest.raises(ParseError):
             phicon.load_tsv(path)
 
+    def test_leading_bom_ignored(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes("\ufeffbig\tadj\tlarge\n".encode("utf-8"))
+        provider = phicon.load_tsv(path)
+        assert phicon.lookup_synonyms(provider, "big", PosTag.ADJECTIVE) == \
+            ["large"]
+
 
 class TestLookups:
     def test_unknown_word(self, tsv_provider):
