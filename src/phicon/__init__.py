@@ -5,8 +5,8 @@ corpora, an averaged-perceptron tagger, and a cross-dataset eval harness."""
 from .corpus import (
     Corpus, CorpusStats, DEFAULT_TAXONOMY, Document, EntitySpan, Label,
     PhiTaxonomy, Sentence, Token, corpus_stats, extract_entities,
-    filter_rare_types, map_to_coarse, parse_conll, read_conll,
-    serialize_conll, split_corpus, validate_bio, write_conll,
+    map_to_coarse, parse_conll, read_conll, serialize_conll, split_corpus,
+    validate_bio, write_conll,
 )
 from .lexicon import (
     DEFAULT_GENERATED_COUNTS, DEFAULT_GENERATOR_SPECS, GeneratorSpec,
@@ -14,8 +14,8 @@ from .lexicon import (
     registry_resolve, sample_entity,
 )
 from .synonyms import (
-    PosTag, SynonymProvider, is_stopword, load_tsv, load_wndb,
-    lookup_pos, lookup_synonyms,
+    PosTag, SynonymProvider, load_tsv, load_wndb, lookup_pos,
+    lookup_synonyms,
 )
 from .augment import (
     AugmentConfig, AugmentRecord, augment_corpus, augment_sentence,

@@ -113,9 +113,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
-
     def labels(self) -> list[Label]:
         return [t.label for t in self.tokens]
 
@@ -351,16 +348,6 @@ def _make_span(sentence, start, end):
 # Dataset preparation
 
 
-def _relabel(corpus: Corpus, label_of) -> Corpus:
-    """The corpus with each token's label replaced by label_of(label)."""
-    return Corpus(tuple(
-        Document(doc.id, tuple(
-            Sentence(tuple(Token(t.text, label_of(t.label))
-                           for t in sent.tokens))
-            for sent in doc.sentences))
-        for doc in corpus.documents))
-
-
 def map_to_coarse(corpus: Corpus) -> Corpus:
     """Replace every fine PHI type with its coarse category.
 
@@ -380,25 +367,12 @@ def map_to_coarse(corpus: Corpus) -> Corpus:
         if lab.phi_type not in tax.fine_types:
             raise PhiconError(f"unknown fine type {lab.phi_type!r}")
         return Label(lab.kind, tax.coarse_of[lab.phi_type])
-    return _relabel(corpus, label_of)
-
-
-def filter_rare_types(corpus: Corpus, threshold: int) -> Corpus:
-    """Relabel to Outside every span whose type occurs < threshold times.
-
-    Frequency is counted as entity spans over the whole corpus; corpus shape
-    (documents, sentences, token texts) is preserved.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    counts: dict[str, int] = {}
-    for sent in corpus.sentences():
-        for span in extract_entities(sent):
-            counts[span.phi_type] = counts.get(span.phi_type, 0) + 1
-    rare = {t for t, n in counts.items() if n < threshold}
-    if not rare:
-        return corpus
-    return _relabel(corpus, lambda lab: O if lab.phi_type in rare else lab)
+    return Corpus(tuple(
+        Document(doc.id, tuple(
+            Sentence(tuple(Token(t.text, label_of(t.label))
+                           for t in sent.tokens))
+            for sent in doc.sentences))
+        for doc in corpus.documents))
 
 
 def split_corpus(corpus: Corpus, ratios: tuple[float, float, float],

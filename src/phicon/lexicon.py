@@ -7,7 +7,8 @@ username, medical record) are generated from pattern templates.
 Pattern templates come in two flavors:
   * a restricted regex subset -- literals plus `\\d`, `[A-Z]`, `[a-z]`,
     `[0-9]` with `{n}` / `{m,n}` quantifiers; `(`, `)`, `.`, `-`, space are
-    literal characters;
+    literal characters, and any other `\\`, `[`, `]`, `{` or `}` is
+    rejected;
   * date templates `MM/DD/YYYY`, `YYYY-MM-DD`, `M/D/YY`, `MonthName D, YYYY`
     which produce calendar-valid dates with years in [1950, 2020].
 """
@@ -83,16 +84,12 @@ _MONTHS = ("January", "February", "March", "April", "May", "June", "July",
 
 _YEARS = (1950, 2020)
 
-# Date template -> (verifier regex, formatter of year, month, day).
+# Date template -> formatter of year, month, day.
 _DATES = {
-    "MM/DD/YYYY": (r"\d{2}/\d{2}/\d{4}",
-                   lambda y, m, d: f"{m:02d}/{d:02d}/{y:04d}"),
-    "YYYY-MM-DD": (r"\d{4}-\d{2}-\d{2}",
-                   lambda y, m, d: f"{y:04d}-{m:02d}-{d:02d}"),
-    "M/D/YY": (r"\d{1,2}/\d{1,2}/\d{2}",
-               lambda y, m, d: f"{m}/{d}/{y % 100:02d}"),
-    "MonthName D, YYYY": ("(?:" + "|".join(_MONTHS) + r") \d{1,2}, \d{4}",
-                          lambda y, m, d: f"{_MONTHS[m - 1]} {d}, {y}"),
+    "MM/DD/YYYY": lambda y, m, d: f"{m:02d}/{d:02d}/{y:04d}",
+    "YYYY-MM-DD": lambda y, m, d: f"{y:04d}-{m:02d}-{d:02d}",
+    "M/D/YY": lambda y, m, d: f"{m}/{d}/{y % 100:02d}",
+    "MonthName D, YYYY": lambda y, m, d: f"{_MONTHS[m - 1]} {d}, {y}",
 }
 
 # Every date template writes each calendar day in _YEARS differently.
@@ -109,32 +106,35 @@ _ATOM = re.compile(
 
 @functools.cache
 def _compile(pattern: str):
-    """(render(rng), verifier, space) of a template: a function drawing one
-    string, the anchored regex matching exactly the strings it can draw, and
-    how many distinct strings that is."""
+    """(render(rng), space) of a template: a function drawing one string,
+    and how many distinct strings it can draw. Raises ValueError for syntax
+    the template language lacks, rather than emitting it as literal text."""
     if pattern in _DATES:
-        regex, fmt = _DATES[pattern]
+        fmt = _DATES[pattern]
 
         def render(rng: RandomStream) -> str:
             year = _YEARS[0] + rng.randrange(_YEARS[1] - _YEARS[0] + 1)
             month = 1 + rng.randrange(12)
             return fmt(year, month,
                        1 + rng.randrange(calendar.monthrange(year, month)[1]))
-        return render, re.compile(regex + "$"), _DAYS
+        return render, _DAYS
     atoms = []  # literal strings and (alphabet, min_rep, max_rep)
-    verifier = []
     space = 1
     for m in _ATOM.finditer(pattern):
         cls, lo, hi, lit = m.groups()
         if lit is not None:
+            if lit in "\\[]{}":
+                raise ValueError(
+                    f"pattern '{pattern}': unsupported syntax at '{lit}'")
             atoms.append(lit)
-            verifier.append(re.escape(lit))
             continue
         alphabet = _CLASSES[cls]
         lo = int(lo) if lo else 1
         hi = int(hi) if hi else lo
+        if lo > hi:
+            raise ValueError(
+                f"pattern '{pattern}': {{{lo},{hi}}} has min > max")
         atoms.append((alphabet, lo, hi))
-        verifier.append(cls + (f"{{{lo},{hi}}}" if hi != lo else f"{{{lo}}}"))
         space *= sum(len(alphabet) ** k for k in range(lo, hi + 1))
 
     def render(rng: RandomStream) -> str:
@@ -147,7 +147,7 @@ def _compile(pattern: str):
             n = lo if lo == hi else lo + rng.randrange(hi - lo + 1)
             out.extend(alphabet[rng.randrange(len(alphabet))] for _ in range(n))
         return "".join(out)
-    return render, re.compile("".join(verifier) + "$"), space
+    return render, space
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,8 @@ class GeneratorSpec:
             raise ValueError("one weight per pattern required")
         if not all(0 < w < float("inf") for w in self.weights):
             raise ValueError("weights must be positive and finite")
+        for pattern in self.patterns:
+            _compile(pattern)
 
 
 DEFAULT_GENERATOR_SPECS = {
@@ -195,11 +197,6 @@ def render_pattern(pattern: str, rng: RandomStream) -> str:
     return _compile(pattern)[0](rng)
 
 
-def pattern_verifier(pattern: str) -> re.Pattern:
-    """Anchored regex matching exactly the strings a template can emit."""
-    return _compile(pattern)[1]
-
-
 def generate_identifiers(spec: GeneratorSpec, count: int, seed: int) -> Lexicon:
     """Exactly `count` distinct entries drawn from the spec's patterns.
 
@@ -209,11 +206,11 @@ def generate_identifiers(spec: GeneratorSpec, count: int, seed: int) -> Lexicon:
     if count < 1:
         raise ValueError("count must be >= 1")
     compiled = [_compile(pat) for pat in spec.patterns]
-    total_space = sum(space for _, _, space in compiled)
+    total_space = sum(space for _, space in compiled)
     if total_space < count:
         raise ExhaustionError(
             f"{spec.phi_type}: pattern space {total_space} < requested {count}")
-    renders = [render for render, _, _ in compiled]
+    renders = [render for render, _ in compiled]
     rng = RandomStream(seed)
     entries: list[str] = []
     seen: set[str] = set()

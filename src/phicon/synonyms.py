@@ -215,10 +215,6 @@ def load_tsv(path, stopwords=STOPWORDS) -> SynonymProvider:
 # ---------------------------------------------------------------------------
 # Lookup API
 
-def is_stopword(provider: SynonymProvider, word: str) -> bool:
-    return word.lower() in provider.stopwords
-
-
 def lookup_synonyms(provider: SynonymProvider, word: str,
                     pos: PosTag) -> list[str]:
     """Lowercased synonyms of the case-folded word, lexicographic order."""

@@ -24,15 +24,10 @@ class SiteProfile:
     name: str
     template_pool: tuple[str, ...]  # "<Type>" tokens are typed PHI slots
     entity_pools: dict[str, Lexicon]  # fine type -> pool (curated types)
-    phi_density: float  # expected PHI spans per sentence
     format_preferences: dict[str, tuple[float, ...]]  # type -> pattern weights
     # "[name]" tokens are non-PHI filler slots (meds, vitals, lab panels);
     # they keep capitalized words and digit strings from being a giveaway.
     filler_pools: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.phi_density <= 0:
-            raise ValueError("phi_density must be positive")
 
 
 def _numeric_pool(pattern: str, count: int, tag: int) -> tuple[str, ...]:
@@ -179,17 +174,11 @@ _SITE_B_FORMATS = {
 }
 
 
-def _density(templates) -> float:
-    slots = sum(t.count("<") for t in templates)
-    return slots / len(templates)
-
-
 def _profile(name, templates, pools, formats, fillers) -> SiteProfile:
     return SiteProfile(
         name=name,
         template_pool=templates,
         entity_pools={t: Lexicon(t, entries) for t, entries in pools.items()},
-        phi_density=_density(templates),
         format_preferences=formats,
         filler_pools=fillers,
     )

@@ -595,13 +595,16 @@ class TestExitContract:
          "[generator.Zip]\npatterns =\ncount = 20\n", 1),
         (["augment", "--in", "{corpus}", "--out", "{out}"],
          "[generator.Zip]\nweights =\n", 1),
+        # Used to exit 0 and write "[A-F]094", "[A-F]030", ...
+        (["gen-lexicon", "--type", "ID", "--out", "{out}"],
+         "[generator.ID]\npatterns = [A-F]\\d{3}\ncount = 5\n", 1),
     ], ids=["alpha", "sr-rate", "ratios", "alphas", "config-value",
             "config-no-section", "non-utf8-input", "synth-docs",
             "synth-min-sentences", "train-epochs", "xeval-seeds",
             "ablate-epochs", "sweep-seeds", "sweep-epochs", "fraction-0",
             "fraction-1.5", "config-n-seeds", "config-epochs",
             "alphas-repeated", "config-alphas-repeated", "empty-patterns",
-            "empty-patterns-count", "empty-weights"])
+            "empty-patterns-count", "empty-weights", "unsupported-pattern"])
     def test_bad_value_or_file(self, small_conll, tmp_path, capsys, argv,
                                config, code):
         latin1 = tmp_path / "latin1.conll"

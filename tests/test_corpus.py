@@ -273,7 +273,8 @@ def test_parse_serialize_round_trip(corpus):
 @given(sentences())
 def test_extract_relabel_identity(sentence):
     spans = phicon.extract_entities(sentence)
-    assert relabel_from_spans(sentence.texts(), spans) == sentence
+    texts = [t.text for t in sentence.tokens]
+    assert relabel_from_spans(texts, spans) == sentence
 
 
 class TestToken:
@@ -363,39 +364,6 @@ class TestMapToCoarse:
         spans = phicon.extract_entities(mapped.documents[0].sentences[0])
         assert [(s.start, s.end) for s in spans] == [(2, 3), (5, 7)]
         assert phicon.validate_bio(mapped.documents[0].sentences[0]) == []
-
-
-class TestFilterRareTypes:
-    def _corpus(self, count):
-        sents = [sent((f"w{i}", "B-Phone"), ("x", "O")) for i in range(count)]
-        sents.append(sent(("y", "B-Date")))
-        return _one_doc(*sents)
-
-    def test_threshold_zero_is_identity(self):
-        corpus = self._corpus(3)
-        assert phicon.filter_rare_types(corpus, 0) == corpus
-
-    def test_below_threshold_relabeled(self):
-        filtered = phicon.filter_rare_types(self._corpus(19), 20)
-        assert all(not t.label.is_phi or t.label.phi_type != "Phone"
-                   for s in filtered.sentences() for t in s.tokens)
-
-    def test_exactly_at_threshold_retained(self):
-        filtered = phicon.filter_rare_types(self._corpus(20), 20)
-        kept = sum(1 for s in filtered.sentences()
-                   for t in s.tokens if t.label.is_phi and t.label.phi_type == "Phone")
-        assert kept == 20
-
-    def test_monotone_in_threshold(self):
-        corpus = self._corpus(5)
-
-        def outside_count(c):
-            return sum(1 for s in c.sentences() for t in s.tokens
-                       if not t.label.is_phi)
-
-        counts = [outside_count(phicon.filter_rare_types(corpus, t))
-                  for t in (0, 2, 6, 10)]
-        assert counts == sorted(counts)
 
 
 class TestSplitCorpus:

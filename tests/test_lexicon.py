@@ -1,13 +1,14 @@
+import calendar
 import collections
+import datetime
 import hashlib
+import re
 
 import pytest
 
 import phicon
 from phicon.errors import ExhaustionError, LexiconError
-from phicon.lexicon import (
-    DEFAULT_GENERATED_COUNTS, pattern_verifier, render_pattern,
-)
+from phicon.lexicon import DEFAULT_GENERATED_COUNTS, render_pattern
 from phicon.rng import RandomStream
 
 
@@ -65,6 +66,52 @@ _DEFAULT_POOL_DIGESTS = {
 # The patterns of the synthetic sites' numeric filler pools.
 _FILLER_PATTERNS = (r"\d{2,3}/\d{2}", r"\d{2}", r"\d{2,3}", r"\d{3}")
 
+# Every pattern the library renders: the default specs' and the fillers'.
+_PATTERNS = [p for spec in phicon.DEFAULT_GENERATOR_SPECS.values()
+             for p in spec.patterns] + list(_FILLER_PATTERNS)
+
+# A template oracle written apart from the renderer: each template the
+# tests draw from, spelled out by hand as the regex of what it may emit.
+_ORACLE = {
+    r"\d{5}": r"[0-9]{5}",
+    r"(\d{3}) \d{3}-\d{4}": r"\([0-9]{3}\) [0-9]{3}-[0-9]{4}",
+    r"\d{3}-\d{3}-\d{4}": r"[0-9]{3}-[0-9]{3}-[0-9]{4}",
+    r"\d{3}.\d{3}.\d{4}": r"[0-9]{3}\.[0-9]{3}\.[0-9]{4}",
+    r"[A-Z]{2}\d{6}": r"[A-Z]{2}[0-9]{6}",
+    r"\d{5,8}": r"[0-9]{5,8}",
+    r"\d{7}": r"[0-9]{7}",
+    r"\d{3}-\d{2}-\d{2}": r"[0-9]{3}-[0-9]{2}-[0-9]{2}",
+    r"[a-z]{5,8}\d{2}": r"[a-z]{5,8}[0-9]{2}",
+    r"\d{2,3}/\d{2}": r"[0-9]{2,3}/[0-9]{2}",
+    r"\d{2}": r"[0-9]{2}",
+    r"\d{2,3}": r"[0-9]{2,3}",
+    r"\d{3}": r"[0-9]{3}",
+}
+
+# Date template -> (its shape, the strptime format that reads it back).
+_DATE_ORACLE = {
+    "MM/DD/YYYY": (r"[0-9]{2}/[0-9]{2}/[0-9]{4}", "%m/%d/%Y"),
+    "YYYY-MM-DD": (r"[0-9]{4}-[0-9]{2}-[0-9]{2}", "%Y-%m-%d"),
+    "M/D/YY": (r"[1-9][0-9]?/[1-9][0-9]?/[0-9]{2}", "%m/%d/%y"),
+    "MonthName D, YYYY": ("(?:" + "|".join(calendar.month_name[1:])
+                          + r") [1-9][0-9]?, [0-9]{4}", "%B %d, %Y"),
+}
+
+
+def _matches(pattern: str, value: str) -> bool:
+    """Whether the template can emit value; a date must also be a real
+    calendar day, in 1950-2020 where the year has four digits."""
+    if pattern not in _DATE_ORACLE:
+        return re.fullmatch(_ORACLE[pattern], value) is not None
+    shape, fmt = _DATE_ORACLE[pattern]
+    if re.fullmatch(shape, value) is None:
+        return False
+    try:
+        day = datetime.datetime.strptime(value, fmt)
+    except ValueError:
+        return False
+    return fmt.endswith("%y") or 1950 <= day.year <= 2020
+
 
 class TestGenerateIdentifiers:
     def test_default_pools_pinned(self):
@@ -75,26 +122,28 @@ class TestGenerateIdentifiers:
             assert digest.hexdigest()[:16] == _DEFAULT_POOL_DIGESTS[name], name
 
     def test_every_render_matches_verifier(self):
-        patterns = [p for spec in phicon.DEFAULT_GENERATOR_SPECS.values()
-                    for p in spec.patterns] + list(_FILLER_PATTERNS)
         rng = RandomStream(11)
-        for pattern in patterns:
-            verifier = pattern_verifier(pattern)
+        for pattern in _PATTERNS:
             for _ in range(300):
                 value = render_pattern(pattern, rng)
-                assert verifier.match(value), (pattern, value)
+                assert _matches(pattern, value), (pattern, value)
+
+    def test_oracle_rejects_wrong_length(self):
+        rng = RandomStream(12)
+        for pattern in _PATTERNS:
+            value = render_pattern(pattern, rng)
+            assert not _matches(pattern, value + value), (pattern, value)
 
     def test_zip_4000_distinct(self):
         lex = phicon.generate_identifiers(ZIP, 4000, seed=1)
         assert len(set(lex.entries)) == 4000
-        verifier = pattern_verifier(r"\d{5}")
-        assert all(verifier.match(e) for e in lex.entries)
+        assert all(_matches(r"\d{5}", e) for e in lex.entries)
 
     def test_count_one(self):
         for name, spec in phicon.DEFAULT_GENERATOR_SPECS.items():
             lex = phicon.generate_identifiers(spec, 1, seed=2)
             assert len(lex) == 1
-            assert any(pattern_verifier(p).match(lex.entries[0])
+            assert any(_matches(p, lex.entries[0])
                        for p in spec.patterns), name
 
     def test_zip_exhaustion(self):
@@ -111,17 +160,27 @@ class TestGenerateIdentifiers:
     def test_every_entry_matches_declared_patterns(self):
         for name, spec in phicon.DEFAULT_GENERATOR_SPECS.items():
             lex = phicon.generate_identifiers(spec, 200, seed=3)
-            verifiers = [pattern_verifier(p) for p in spec.patterns]
             for entry in lex.entries:
-                assert any(v.match(entry) for v in verifiers), (name, entry)
+                assert any(_matches(p, entry) for p in spec.patterns), \
+                    (name, entry)
 
     def test_date_entries_calendar_valid(self):
         spec = phicon.GeneratorSpec("Date", ("YYYY-MM-DD",))
         lex = phicon.generate_identifiers(spec, 500, seed=4)
-        import datetime
         for entry in lex.entries:
             d = datetime.date.fromisoformat(entry)
             assert 1950 <= d.year <= 2020
+
+    @pytest.mark.parametrize("pattern", [
+        r"[A-F]\d{3}", r"\d{2", r"[b-z]{2}\d", r"\d{3,2}", r"\d{,3}",
+        r"\w{4}"])
+    def test_unsupported_syntax_rejected(self, pattern):
+        # Each used to be accepted, emitting the brackets, braces or
+        # backslash as literal text (or, for {3,2}, an empty value space).
+        with pytest.raises(ValueError, match=re.escape(f"'{pattern}'")):
+            phicon.GeneratorSpec("ID", (pattern,))
+        with pytest.raises(ValueError, match=re.escape(f"'{pattern}'")):
+            render_pattern(pattern, RandomStream(0))
 
     @pytest.mark.parametrize("weights", [
         (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),

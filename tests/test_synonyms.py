@@ -108,11 +108,21 @@ class TestLookups:
 
 
 class TestStopwords:
+    @pytest.fixture(scope="class")
+    def provider(self, tmp_path_factory):
+        # Every word has a POS here, so only the bundled stopword list can
+        # mask it from SR and RI.
+        path = tmp_path_factory.mktemp("stop") / "syn.tsv"
+        path.write_text("the\tadjective\t\n"
+                        "hospital\tnoun\tclinic\n"
+                        "not\tadverb\t\n")
+        return phicon.load_tsv(path)
+
     @pytest.mark.parametrize("word,expected", [
         ("the", True), ("hospital", False), ("The", True), ("NOT", True),
     ])
-    def test_membership(self, tsv_provider, word, expected):
-        assert phicon.is_stopword(tsv_provider, word) is expected
+    def test_membership(self, provider, word, expected):
+        assert (phicon.lookup_pos(provider, word) == frozenset()) is expected
 
     def test_override_by_file(self, tmp_path):
         # A custom stopword set passed to load_tsv replaces the bundled
@@ -123,7 +133,7 @@ class TestStopwords:
                         "the\tadjective\t\n")
         provider = phicon.load_tsv(path, stopwords=frozenset({"quick"}))
         assert phicon.lookup_pos(provider, "Quick") == frozenset()
-        assert phicon.is_stopword(provider, "quick")
+        assert provider.stopwords == frozenset({"quick"})
         assert phicon.lookup_pos(provider, "the") == {PosTag.ADJECTIVE}
         assert provider.pos_pool(PosTag.ADJECTIVE) == ("steady", "the")
 
