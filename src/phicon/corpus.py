@@ -148,12 +148,6 @@ class EntitySpan:
 
 
 @dataclass(frozen=True, slots=True)
-class Violation:
-    position: int
-    description: str
-
-
-@dataclass(frozen=True, slots=True)
 class CorpusStats:
     note_count: int
     avg_tokens_per_note: float
@@ -270,13 +264,13 @@ def _document_text(doc: Document) -> str:
     return "".join(out)
 
 
-def read_conll(path, repair: bool = False) -> Corpus:
+def read_conll(path) -> Corpus:
     with open(path, encoding="utf-8-sig") as f:
         try:
             text = f.read()
         except UnicodeDecodeError as e:
             raise ParseError(f"not UTF-8 text: {e}", str(path)) from None
-    return parse_conll(text, repair=repair, source=str(path))
+    return parse_conll(text, source=str(path))
 
 
 @contextmanager
@@ -302,18 +296,17 @@ def write_conll(corpus: Corpus, path) -> None:
 # Validation and span extraction
 
 
-def validate_bio(sentence: Sentence) -> list[Violation]:
-    """All BIO violations in a sentence; empty list means valid."""
-    violations = []
+def validate_bio(sentence: Sentence) -> list[int]:
+    """Positions of the Inside labels that do not continue a span of their
+    type; empty list means valid."""
+    bad = []
     prev: Label = O
     for i, tok in enumerate(sentence.tokens):
         lab = tok.label
-        if lab.kind == INSIDE:
-            if not (prev.is_phi and prev.phi_type == lab.phi_type):
-                violations.append(Violation(
-                    i, f"Inside label {lab} not preceded by {lab.phi_type} span"))
+        if lab.kind == INSIDE and prev.phi_type != lab.phi_type:
+            bad.append(i)
         prev = lab
-    return violations
+    return bad
 
 
 def extract_entities(sentence: Sentence) -> list[EntitySpan]:

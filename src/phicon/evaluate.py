@@ -9,7 +9,6 @@ F1 with a zero denominator is defined as 0.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -181,21 +180,15 @@ def alpha_sweep(train: Corpus, dev: Corpus, alphas, base_config: AugmentConfig,
     """Mean dev-set micro-F1 for each augmentation factor."""
     if not alphas:
         raise PhiconError("alphas must be non-empty")
-    if any(a < 0 for a in alphas):
-        raise PhiconError("alphas must be >= 0")
-    uniq = []
-    for a in alphas:
-        if a in uniq:
-            warnings.warn(f"duplicate alpha {a} dropped", stacklevel=2)
-        else:
-            uniq.append(a)
+    if min(alphas) < 0 or len(set(alphas)) != len(alphas):
+        raise PhiconError("alphas must be distinct and >= 0")
     # One experiment, a phicon arm per alpha: shared subsamples and features.
-    arms = [(f"alpha={a}", cfg) for a in uniq for _, cfg in
+    arms = [(f"alpha={a}", cfg) for a in alphas for _, cfg in
             experiment_arms(["phicon"], replace(base_config, alpha=a))]
     result = cross_dataset_eval(
         train, dev, arms, train_fraction=1.0, n_seeds=n_seeds, epochs=epochs,
         registry=registry, provider=provider, setting=setting)
-    return {a: result.means[f"alpha={a}"] for a in uniq}
+    return {a: result.means[f"alpha={a}"] for a in alphas}
 
 
 def ablation_run(train: Corpus, test: Corpus, base_config: AugmentConfig,

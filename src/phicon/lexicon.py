@@ -6,9 +6,9 @@ username, medical record) are generated from pattern templates.
 
 Pattern templates come in two flavors:
   * a restricted regex subset -- literals plus `\\d`, `[A-Z]`, `[a-z]`,
-    `[0-9]` with `{n}` / `{m,n}` quantifiers; `(`, `)`, `.`, `-`, space are
-    literal characters, and any other `\\`, `[`, `]`, `{` or `}` is
-    rejected;
+    `[0-9]` with `{n}` / `{m,n}` quantifiers (1 <= m <= n); `(`, `)`, `.`,
+    `-`, space are literal characters, and any other `\\`, `[`, `]`, `{` or
+    `}` is rejected;
   * date templates `MM/DD/YYYY`, `YYYY-MM-DD`, `M/D/YY`, `MonthName D, YYYY`
     which produce calendar-valid dates with years in [1950, 2020].
 """
@@ -131,9 +131,9 @@ def _compile(pattern: str):
         alphabet = _CLASSES[cls]
         lo = int(lo) if lo else 1
         hi = int(hi) if hi else lo
-        if lo > hi:
-            raise ValueError(
-                f"pattern '{pattern}': {{{lo},{hi}}} has min > max")
+        if not 1 <= lo <= hi:
+            raise ValueError(f"pattern '{pattern}': {m[0][len(cls):]} "
+                             "needs 1 <= min <= max")
         atoms.append((alphabet, lo, hi))
         space *= sum(len(alphabet) ** k for k in range(lo, hi + 1))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, Document, Sentence, relabel_from_spans, EntitySpan
 from .errors import PhiconError
-from .lexicon import DEFAULT_GENERATOR_SPECS, Lexicon, render_pattern
+from .lexicon import DEFAULT_GENERATOR_SPECS, render_pattern
 from .rng import RandomStream, derive_seed
 
 
@@ -23,7 +23,7 @@ from .rng import RandomStream, derive_seed
 class SiteProfile:
     name: str
     template_pool: tuple[str, ...]  # "<Type>" tokens are typed PHI slots
-    entity_pools: dict[str, Lexicon]  # fine type -> pool (curated types)
+    entity_pools: dict[str, tuple[str, ...]]  # fine type -> curated pool
     format_preferences: dict[str, tuple[float, ...]]  # type -> pattern weights
     # "[name]" tokens are non-PHI filler slots (meds, vitals, lab panels);
     # they keep capitalized words and digit strings from being a giveaway.
@@ -174,27 +174,18 @@ _SITE_B_FORMATS = {
 }
 
 
-def _profile(name, templates, pools, formats, fillers) -> SiteProfile:
-    return SiteProfile(
-        name=name,
-        template_pool=templates,
-        entity_pools={t: Lexicon(t, entries) for t, entries in pools.items()},
-        format_preferences=formats,
-        filler_pools=fillers,
-    )
-
-
 def builtin_profiles() -> tuple[SiteProfile, SiteProfile]:
     """The shipped SiteA and SiteB profiles.
 
     Disjoint name/location/medication vocabularies, <= 20% template overlap,
-    and different identifier format preferences.
+    and different identifier format preferences. Each call returns fresh
+    dicts, so editing a profile leaves the next call's profiles as shipped.
     """
     return (
-        _profile("SiteA", _SITE_A_TEMPLATES, _SITE_A_POOLS,
-                 _SITE_A_FORMATS, _SITE_A_FILLERS),
-        _profile("SiteB", _SITE_B_TEMPLATES, _SITE_B_POOLS,
-                 _SITE_B_FORMATS, _SITE_B_FILLERS),
+        SiteProfile("SiteA", _SITE_A_TEMPLATES, dict(_SITE_A_POOLS),
+                    dict(_SITE_A_FORMATS), dict(_SITE_A_FILLERS)),
+        SiteProfile("SiteB", _SITE_B_TEMPLATES, dict(_SITE_B_POOLS),
+                    dict(_SITE_B_FORMATS), dict(_SITE_B_FILLERS)),
     )
 
 
@@ -216,7 +207,7 @@ def _fill_template(template: str, profile: SiteProfile,
         phi_type = word[1:-1]
         pool = profile.entity_pools.get(phi_type)
         if pool is not None:
-            entity = rng.choice(pool.entries)
+            entity = rng.choice(pool)
         else:
             spec = DEFAULT_GENERATOR_SPECS.get(phi_type)
             weights = profile.format_preferences.get(phi_type)

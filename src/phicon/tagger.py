@@ -82,7 +82,6 @@ def featurize(sentence: Sentence, index: int) -> list[str]:
 class TaggerModel:
     weights: dict  # feature -> {label string -> weight}
     label_set: list  # label strings, Outside included, training order
-    feature_template_version: str
     training_meta: dict  # epochs, seed, corpus_fingerprint
 
     def __post_init__(self):
@@ -143,15 +142,15 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     if epochs * (tokens := sum(map(len, sentences))) >= _BIAS:
         raise PhiconError("too many epochs x tokens for the weight fields")
 
-    seen = dict.fromkeys(str(t.label) for sent in sentences for t in sent.tokens)
-    label_set = ["O"] + [lbl for lbl in seen if lbl != "O"]
-    index = {lbl: i for i, lbl in enumerate(label_set)}
+    # Featurize once; features do not depend on decoding state. Labels are
+    # numbered Outside first, then in order of first sight.
+    index = {"O": 0}
+    data = [(feats, [index.setdefault(str(t.label), len(index))
+                     for t in sent.tokens])
+            for sent, feats in zip(sentences, featurize_sentences(sentences))]
+    label_set = list(index)
     types, masks = _bio_masks(label_set)
     n = len(label_set)
-
-    # Featurize once; features do not depend on decoding state.
-    data = [(feats, [index[str(t.label)] for t in sent.tokens])
-            for sent, feats in zip(sentences, featurize_sentences(sentences))]
 
     # Weights stay whole while training, so a feature's row is one int of n
     # 64-bit fields, bits 64i on holding label i's weight + _BIAS. A sum of k
@@ -208,7 +207,6 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     return TaggerModel(
         weights=averaged,
         label_set=label_set,
-        feature_template_version=FEATURE_TEMPLATE_VERSION,
         training_meta={
             "epochs": epochs,
             "seed": seed,
@@ -268,8 +266,7 @@ def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
 
 def _file_lines(model: TaggerModel):
     meta = model.training_meta
-    yield (f"{_MODEL_MAGIC} {_MODEL_VERSION} "
-           f"{model.feature_template_version}\n")
+    yield f"{_MODEL_MAGIC} {_MODEL_VERSION} {FEATURE_TEMPLATE_VERSION}\n"
     yield "labels " + "\t".join(model.label_set) + "\n"
     yield (f"meta epochs={meta.get('epochs', 0)} seed={meta.get('seed', 0)} "
            f"corpus_fingerprint={meta.get('corpus_fingerprint', '')}\n")
@@ -341,7 +338,7 @@ def _read_model(file, path) -> TaggerModel:  # load_model, calling file path
             weights.setdefault(feat, {})[lbl] = value
     except (IndexError, ValueError) as e:
         raise ModelFormatError(f"corrupt model file {path}: {e}") from None
-    model = TaggerModel(weights, label_set, header[2], meta)
+    model = TaggerModel(weights, label_set, meta)
     for lineno, (got, exp) in enumerate(
             zip_longest(raw, _file_lines(model)), 1):
         if got != exp:

@@ -272,7 +272,7 @@ class TestCriterion8RoundTrips:
                     rng.choice(labels): rng.uniform(-5, 5)
                     for _ in range(rng.randint(1, 3))}
             model = TaggerModel(
-                weights, list(labels), "ft1",
+                weights, list(labels),
                 {"epochs": rng.randint(1, 9), "seed": rng.randint(0, 999),
                  "corpus_fingerprint": f"{rng.getrandbits(64):016x}"})
             save_model(model, path)

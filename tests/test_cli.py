@@ -338,8 +338,8 @@ class TestAugmentCommand:
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
-    def test_jobs_below_one_is_usage_error(self, small_conll, tmp_path,
-                                           capsys, jobs):
+    def test_jobs_flag_is_unrecognised(self, small_conll, tmp_path, capsys,
+                                       jobs):
         # There is no --jobs flag: any value is an unrecognised argument.
         out = tmp_path / "aug.conll"
         assert run(["augment", "--in", str(small_conll), "--out", str(out),
@@ -480,8 +480,7 @@ class TestExperimentCommands:
         ["xeval", "--test", "{b}"], ["ablate", "--test", "{b}"],
         ["sweep", "--dev", "{b}"]])
     @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
-    def test_jobs_below_one_is_usage_error(self, two_sites, capsys, argv,
-                                           jobs):
+    def test_jobs_flag_is_unrecognised(self, two_sites, capsys, argv, jobs):
         # There is no --jobs flag: any value is an unrecognised argument.
         a, b = two_sites
         argv = [arg.format(b=b) for arg in argv]
@@ -598,13 +597,17 @@ class TestExitContract:
         # Used to exit 0 and write "[A-F]094", "[A-F]030", ...
         (["gen-lexicon", "--type", "ID", "--out", "{out}"],
          "[generator.ID]\npatterns = [A-F]\\d{3}\ncount = 5\n", 1),
+        # Used to exit 0 and write "x".
+        (["gen-lexicon", "--type", "ID", "--out", "{out}"],
+         "[generator.ID]\npatterns = \\d{0}x\ncount = 1\n", 1),
     ], ids=["alpha", "sr-rate", "ratios", "alphas", "config-value",
             "config-no-section", "non-utf8-input", "synth-docs",
             "synth-min-sentences", "train-epochs", "xeval-seeds",
             "ablate-epochs", "sweep-seeds", "sweep-epochs", "fraction-0",
             "fraction-1.5", "config-n-seeds", "config-epochs",
             "alphas-repeated", "config-alphas-repeated", "empty-patterns",
-            "empty-patterns-count", "empty-weights", "unsupported-pattern"])
+            "empty-patterns-count", "empty-weights", "unsupported-pattern",
+            "zero-quantifier"])
     def test_bad_value_or_file(self, small_conll, tmp_path, capsys, argv,
                                config, code):
         latin1 = tmp_path / "latin1.conll"

@@ -296,12 +296,16 @@ class TestValidateBio:
         assert phicon.validate_bio(s) == []
 
     def test_outside_then_inside(self):
-        violations = phicon.validate_bio(sent(("a", "O"), ("b", "I-Phone")))
-        assert len(violations) == 1 and violations[0].position == 1
+        assert phicon.validate_bio(sent(("a", "O"), ("b", "I-Phone"))) == [1]
 
     def test_type_mismatch_inside(self):
-        violations = phicon.validate_bio(sent(("a", "B-Date"), ("b", "I-Phone")))
-        assert len(violations) == 1
+        assert phicon.validate_bio(
+            sent(("a", "B-Date"), ("b", "I-Phone"))) == [1]
+
+    def test_two_bad_insides(self):
+        s = sent(("a", "I-Date"), ("b", "B-Phone"), ("c", "I-Phone"),
+                 ("d", "I-Date"))
+        assert phicon.validate_bio(s) == [0, 3]
 
 
 class TestExtractEntities:

@@ -319,11 +319,10 @@ class TestCrossDatasetEval:
 
 
 class TestAlphaSweep:
-    def test_duplicate_alpha_warns_and_dedups(self, site_splits):
-        with pytest.warns(UserWarning):
-            out = alpha_sweep(site_splits["train_a"], site_splits["dev_a"],
-                              [0, 0], AugmentConfig(), n_seeds=1, epochs=1)
-        assert list(out) == [0]
+    def test_duplicate_alpha_rejected(self, site_splits):
+        with pytest.raises(PhiconError, match="distinct"):
+            alpha_sweep(site_splits["train_a"], site_splits["dev_a"],
+                        [0, 0], AugmentConfig(), n_seeds=1, epochs=1)
 
     def test_alpha_zero_equals_baseline(self, site_splits, builtin_registry_s,
                                         builtin_provider_s):

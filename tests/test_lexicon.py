@@ -173,10 +173,11 @@ class TestGenerateIdentifiers:
 
     @pytest.mark.parametrize("pattern", [
         r"[A-F]\d{3}", r"\d{2", r"[b-z]{2}\d", r"\d{3,2}", r"\d{,3}",
-        r"\w{4}"])
+        r"\w{4}", r"\d{0}x", r"\d{0}", r"\d{0,2}"])
     def test_unsupported_syntax_rejected(self, pattern):
         # Each used to be accepted, emitting the brackets, braces or
-        # backslash as literal text (or, for {3,2}, an empty value space).
+        # backslash as literal text (or, for {3,2}, an empty value space,
+        # and for {0} or {0,n}, values that draw nothing from the class).
         with pytest.raises(ValueError, match=re.escape(f"'{pattern}'")):
             phicon.GeneratorSpec("ID", (pattern,))
         with pytest.raises(ValueError, match=re.escape(f"'{pattern}'")):

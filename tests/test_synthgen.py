@@ -17,9 +17,17 @@ class TestBuiltinProfiles:
         shared_types = set(a.entity_pools) & set(b.entity_pools)
         assert shared_types  # same schema, different words
         for t in shared_types:
-            overlap = set(a.entity_pools[t].entries) & \
-                set(b.entity_pools[t].entries)
+            overlap = set(a.entity_pools[t]) & set(b.entity_pools[t])
             assert not overlap, f"{t} pools overlap: {overlap}"
+
+    def test_edits_do_not_leak_into_later_calls(self):
+        # Every call used to share the module's filler and format dicts.
+        a, _ = builtin_profiles()
+        for pools in (a.entity_pools, a.format_preferences, a.filler_pools):
+            pools.clear()
+        fresh, _ = builtin_profiles()
+        assert fresh.entity_pools and fresh.format_preferences
+        assert fresh.filler_pools
 
     def test_filler_pools_disjoint(self, profiles):
         a, b = profiles
@@ -89,7 +97,7 @@ class TestGenerateCorpus:
     def test_entities_come_from_site_pools(self, profiles):
         a = profiles[0]
         corpus = generate_corpus(a, 30, (8, 15), seed=6)
-        curated = {t: set(lex.entries) for t, lex in a.entity_pools.items()}
+        curated = {t: set(pool) for t, pool in a.entity_pools.items()}
         for s in corpus.sentences():
             for span in phicon.extract_entities(s):
                 if span.phi_type in curated:

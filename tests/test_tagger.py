@@ -109,7 +109,6 @@ class TestTraining:
         assert model.training_meta["seed"] == 9
         assert model.training_meta["corpus_fingerprint"] == \
             corpus_fingerprint(corpus)
-        assert model.feature_template_version == FEATURE_TEMPLATE_VERSION
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(PhiconError):
@@ -206,8 +205,6 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.weights == model.weights
         assert loaded.label_set == model.label_set
-        assert loaded.feature_template_version == \
-            model.feature_template_version
         assert loaded.training_meta == model.training_meta
 
     def test_round_trip_predictions_identical(self, tmp_path):
@@ -347,13 +344,13 @@ class TestAtomicSave:
 
     @pytest.mark.parametrize("case", [
         "space-in-fingerprint", "cr-in-feature", "tab-in-feature",
-        "nan-weight", "label-not-in-table", "template-ft2", "extra-meta-key",
+        "nan-weight", "label-not-in-table", "extra-meta-key",
         "unknown-phi-type"])
     def test_unreloadable_model_refused(self, tmp_path, case):
         # Each used to save a file that load_model then rejected, or (the
         # extra meta key) reloaded as a different model.
         meta = {"epochs": 1, "seed": 0, "corpus_fingerprint": "abc"}
-        weights, labels, template = {"w=a": {"O": 1.5}}, ["O"], "ft1"
+        weights, labels = {"w=a": {"O": 1.5}}, ["O"]
         if case == "space-in-fingerprint":
             meta["corpus_fingerprint"] = "a b"
         elif case == "cr-in-feature":
@@ -364,8 +361,6 @@ class TestAtomicSave:
             weights = {"w=a": {"O": float("nan")}}
         elif case == "label-not-in-table":
             weights = {"w=a": {"B-Date": 1.5}}
-        elif case == "template-ft2":
-            template = "ft2"
         elif case == "unknown-phi-type":
             labels = ["O", "B-Wizard"]
         else:
@@ -374,7 +369,7 @@ class TestAtomicSave:
         save_model(train(_train_corpus(), epochs=1, seed=0), path)
         before = path.read_bytes()
         with pytest.raises(ModelFormatError):
-            save_model(TaggerModel(weights, labels, template, meta), path)
+            save_model(TaggerModel(weights, labels, meta), path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.txt"]
 
@@ -383,8 +378,7 @@ class TestAtomicSave:
         meta = {"epochs": 1, "seed": 0, "corpus_fingerprint": "a b"}
         path = tmp_path / "x.model"
         with pytest.raises(ModelFormatError) as err:
-            save_model(TaggerModel({"w=a": {"O": 1.5}}, ["O"], "ft1", meta),
-                       path)
+            save_model(TaggerModel({"w=a": {"O": 1.5}}, ["O"], meta), path)
         assert str(err.value).startswith(
             f"cannot save {path}: {path} line 3: found 'meta ")
         assert ".tmp" not in str(err.value)
@@ -472,7 +466,7 @@ def _ref_train(corpus, epochs, seed):
                 avg[lbl] = total / step
         if avg:
             averaged[feat] = avg
-    return TaggerModel(averaged, label_set, FEATURE_TEMPLATE_VERSION, {
+    return TaggerModel(averaged, label_set, {
         "epochs": epochs, "seed": seed,
         "corpus_fingerprint": corpus_fingerprint(corpus)})
 
@@ -592,8 +586,7 @@ class TestReferenceEquivalence:
         # Every score is 0, so the earliest allowed label, Outside, wins;
         # Inside labels are masked at the sentence start.
         model = TaggerModel({"w=smith": {"B-Doctor": 1.5, "I-Doctor": 2.0}},
-                            ["I-Doctor", "O", "B-Doctor"],
-                            FEATURE_TEMPLATE_VERSION, {})
+                            ["I-Doctor", "O", "B-Doctor"], {})
         s = sent(("Totally", "O"), ("unseen", "O"))
         assert _predict_one(model, s) == _ref_predict(model, s) == [
             Label.parse("O"), Label.parse("O")]
@@ -641,8 +634,7 @@ class TestPickCache:
         # only after B-Doctor, so a key without the mask goes wrong.
         model = TaggerModel({"w=dr": {"B-Doctor": 1.0},
                              "w=smith": {"B-Doctor": 0.5, "I-Doctor": 2.0}},
-                            ["O", "B-Doctor", "I-Doctor"],
-                            FEATURE_TEMPLATE_VERSION, {})
+                            ["O", "B-Doctor", "I-Doctor"], {})
         sents = [sent(("Dr", "O"), ("Smith", "O")),
                  sent(("Smith", "O"),),
                  sent(("a", "O"), ("Smith", "O")),
@@ -666,8 +658,7 @@ class TestPickCache:
                              "prev=the": {"O": 2.0},
                              "prev=a": {"O": 3.0},
                              "w=smith": {"B-Doctor": 0.5, "I-Doctor": 2.0}},
-                            ["O", "B-Doctor", "I-Doctor"],
-                            FEATURE_TEMPLATE_VERSION, {})
+                            ["O", "B-Doctor", "I-Doctor"], {})
         sents = [sent(("Dr", "O"), ("Smith", "O")),
                  sent(("the", "O"), ("Dr", "O"), ("Smith", "O")),
                  sent(("a", "O"), ("Smith", "O")),
@@ -686,7 +677,7 @@ class TestPickCache:
         model = TaggerModel({"atstart=1": {"B-Doctor": 1.0},
                              "w=a": {"O": 5.0}, "w=<s>": {"O": 5.0},
                              "w=smith": {"O": 0.5}},
-                            ["O", "B-Doctor"], FEATURE_TEMPLATE_VERSION, {})
+                            ["O", "B-Doctor"], {})
         sents = [sent(("a", "O"), ("Smith", "O")),
                  sent(("<S>", "O"), ("Smith", "O")),
                  sent(("Smith", "O"),)]
