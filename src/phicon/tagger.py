@@ -92,7 +92,7 @@ class TaggerModel:
 def featurize_sentences(sentences) -> list:
     """Token features of each sentence, for train and predict_features. The
     context (previous word lower-cased or <S>, word, next word lower-cased or
-    </S>) fixes a token's features, so per call each context gets one list,
+    </S>) fixes a token's features, so per call each context gets one tuple,
     whose picks _pick caches, and equal strings are one object."""
     memo: dict = {}  # context tuple -> features, and string -> itself
     out = []
@@ -101,26 +101,28 @@ def featurize_sentences(sentences) -> list:
         out.append(feats := [])
         for i, t in enumerate(s.tokens):
             if (key := (low[i], t.text, low[i + 2])) not in memo:
-                memo[key] = [memo.setdefault(f, f) for f in featurize(s, i)]
+                fl = featurize(s, i)
+                memo[key] = (*map(memo.setdefault, fl, fl),)
             feats.append(memo[key])
     return out
 
 
 def _bio_masks(label_set):
-    """(types, masks): each label's PHI type (None for Outside), and per
-    previous type the label indices allowed next, in label order."""
+    """(start, after): the (allowed label indices, pick cache) pair at a
+    sentence start, and per label index the pair after it, shared by type."""
     types = [None if lbl == "O" else lbl[2:] for lbl in label_set]
-    return types, {prev: [i for i, lbl in enumerate(label_set)
-                          if lbl[:1] != "I" or types[i] == prev]
-                   for prev in types}
+    pairs = {prev: ([i for i, lbl in enumerate(label_set)
+                     if lbl[:1] != "I" or types[i] == prev], {})
+             for prev in types}
+    return pairs[None], [pairs[t] for t in types]
 
 
-def _pick(score, picks, key, allowed, *args):
+def _pick(score, cache, key, allowed, *args):
     """The allowed label index scoring highest in score(*args), ties to the
-    earlier, cached in picks under (key, id(allowed)): callers keep allowed
-    alive, give a key that fixes the scores, and clear picks on updates."""
-    if (pred := picks.get(key := (key, id(allowed)))) is None:
-        pred = picks[key] = max(allowed, key=score(*args).__getitem__)
+    earlier, cached in cache[key]: callers give each allowed mask its own
+    cache and a key that fixes the scores, and clear every cache on updates."""
+    if (pred := cache.get(key)) is None:
+        pred = cache[key] = max(allowed, key=score(*args).__getitem__)
     return pred
 
 
@@ -145,11 +147,11 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     # Featurize once; features do not depend on decoding state. Labels are
     # numbered Outside first, then in order of first sight.
     index = {"O": 0}
-    data = [(feats, [index.setdefault(str(t.label), len(index))
-                     for t in sent.tokens])
+    data = [(feats, tuple([index.setdefault(str(t.label), len(index))
+                           for t in sent.tokens]))
             for sent, feats in zip(sentences, featurize_sentences(sentences))]
     label_set = list(index)
-    types, masks = _bio_masks(label_set)
+    start, after = _bio_masks(label_set)
     n = len(label_set)
 
     # Weights stay whole while training, so a feature's row is one int of n
@@ -165,7 +167,6 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
         row = sum(filter(None, map(weights.get, fs)))
         return fields(row.to_bytes(8 * n, "little"))
 
-    picks = {}  # (id(fs), id(allowed)) -> pick; data and masks hold both
     step = 0
     order = list(range(len(data)))
     for epoch in range(epochs):
@@ -175,15 +176,16 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
             feats, golds = data[si]
             # Decode greedily from the model's own predictions so training
             # sees the same conditions as inference.
-            allowed = masks[None]
+            allowed, cache = start
             for fs, gold in zip(feats, golds):
                 step += 1
-                pred = _pick(score, picks, id(fs), allowed, fs)
-                allowed = masks[types[pred]]
+                pred = _pick(score, cache, id(fs), allowed, fs)
+                allowed, cache = after[pred]
                 if pred == gold:
                     continue
                 learned = True
-                picks.clear()
+                for _, stale in after:  # an update moves every mask's picks
+                    stale.clear()
                 delta = (1 << 64 * gold) - (1 << 64 * pred)
                 for f in fs:
                     if f not in weights:
@@ -204,44 +206,39 @@ def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
         if avg:
             averaged[feat] = avg
 
-    return TaggerModel(
-        weights=averaged,
-        label_set=label_set,
-        training_meta={
-            "epochs": epochs,
-            "seed": seed,
-            "corpus_fingerprint": corpus_fingerprint(corpus),
-        },
-    )
+    return TaggerModel(averaged, label_set, {
+        "epochs": epochs, "seed": seed,
+        "corpus_fingerprint": corpus_fingerprint(corpus)})
 
 
 def _labeler(model: TaggerModel):
-    """label(keys, feats, picks) yields one sentence's labels, picked left to
-    right by _pick under the BIO mask: token t's pick is cached under keys[t],
-    and feats(t), its feature list, is called only on a miss."""
+    """label(keys, feats) yields one sentence's labels, picked left to right
+    by _pick under the BIO mask: token t's pick is cached under keys[t] in its
+    mask's cache, and feats(t), its features, is called only on a miss."""
     rows = {f: [d.get(lbl, 0.0) for lbl in model.label_set]
             for f, d in model.weights.items()}
     zeros = [0.0] * len(model.label_set)
-    types, masks = _bio_masks(model.label_set)
+    start, after = _bio_masks(model.label_set)
     labels = [Label.parse(lbl) for lbl in model.label_set]
 
     def score(feats, t):  # float sums in feature order; no weights: zeros
         return [*map(sum, zip(*[r for r in map(rows.get, feats(t)) if r]),
                      repeat(LEFT_TO_RIGHT))] or zeros
 
-    def label(keys, feats, picks):
-        allowed = masks[None]
+    def label(keys, feats):
+        allowed, cache = start
         for t, key in enumerate(keys):
-            yield labels[pred := _pick(score, picks, key, allowed, feats, t)]
-            allowed = masks[types[pred]]
+            yield labels[pred := _pick(score, cache, key, allowed, feats, t)]
+            allowed, cache = after[pred]
     return label
 
 
 def predict_features(model: TaggerModel, corpus_feats) -> list[list[Label]]:
     """One label list per featurized sentence (see featurize_sentences). Its
-    one pick cache keys by list id, so every list is held until it returns."""
-    label, picks = _labeler(model), {}
-    return [[*label(map(id, feats), feats.__getitem__, picks)]
+    pick caches, one per allowed mask, key by the features' id, so every
+    token's features are held until it returns."""
+    label = _labeler(model)
+    return [[*label(map(id, feats), feats.__getitem__)]
             for feats in list(corpus_feats)]
 
 
@@ -252,10 +249,10 @@ def _contexts(sentence: Sentence):  # (prev text or None, text, next or None)
 
 def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[list[Label]]:
     """One label list per sentence. A token is featurized and scored only at
-    the first sight of its (context, allowed mask) pair: the one pick cache
-    holds an int per distinct pair, no feature lists, so memory stays flat."""
-    label, picks = _labeler(model), {}
-    return [[*label(_contexts(s), partial(featurize, s), picks)]
+    the first sight of its context under its allowed mask, whose pick cache
+    maps a context to an int and holds no features, so memory stays flat."""
+    label = _labeler(model)
+    return [[*label(_contexts(s), partial(featurize, s))]
             for s in corpus.sentences()]
 
 

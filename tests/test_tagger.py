@@ -612,10 +612,10 @@ class TestLeftToRightSum:
 
 
 class TestPickCache:
-    """predict_features caches picks under (id(features), id(mask)), and
-    predict_corpus under (token context, id(mask)) for the whole corpus;
-    these pin every part of both keys and that every keyed list outlives its
-    key."""
+    """Each call keeps one pick cache per allowed mask: predict_features
+    keys it by id(features) and predict_corpus by token context, for the
+    whole corpus; these pin that both the key and the mask choose a pick and
+    that every keyed feature list outlives its key."""
 
     def test_fresh_unshared_feature_lists(self, fixture_corpora):
         # Each token's list is built afresh and reachable only through the
@@ -687,6 +687,18 @@ class TestPickCache:
         corpus = Corpus((Document("d", tuple(sents)),))
         assert predict_corpus(model, corpus) == expected
 
+    def test_train_update_drops_picks_of_every_mask(self, tmp_path):
+        # Seed 0 shuffles epoch 1 to (Dr, Smith Smith). The first Smith is
+        # picked B-Doctor at the start and cached under the start mask; the
+        # second, after B-Doctor, is a mistake under the other mask, and its
+        # update lowers the first Smith's B-Doctor score below Outside. In
+        # epoch 2 (Smith Smith, Dr) the first Smith must be rescored as O,
+        # which a start-mask pick kept past that update would miss.
+        corpus = Corpus((Document("d", (
+            sent(("Dr", "B-Doctor")),
+            sent(("Smith", "B-Doctor"), ("Smith", "I-Doctor")))),))
+        _assert_matches_reference(corpus, corpus, 2, 0, tmp_path)
+
     def test_corpus_featurizes_each_context_once(self, monkeypatch):
         calls = []
 
@@ -706,7 +718,7 @@ class TestSharedFeatures:
     def test_featurize_sentences_matches_featurize(self, fixture_corpora):
         corpus = fixture_corpora["fine"][1]
         feats = featurize_sentences(corpus.sentences())
-        assert feats == [[featurize(s, i) for i in range(len(s))]
+        assert feats == [[tuple(featurize(s, i)) for i in range(len(s))]
                          for s in corpus.sentences()]
 
     def test_equal_features_are_one_object(self, fixture_corpora):
@@ -724,7 +736,7 @@ class TestSharedFeatures:
                  sent(("<S>", "O"), ("Smith", "O"), ("said", "O")),
                  sent(("Smith", "O"), ("said", "O"))]
         feats = featurize_sentences(sents)
-        assert feats == [[featurize(s, i) for i in range(len(s))]
+        assert feats == [[tuple(featurize(s, i)) for i in range(len(s))]
                          for s in sents]
         assert feats[0][1] != feats[1][1] and feats[2][0] != feats[3][1]
         # A repeated context is one list: "said" after smith/Smith and at
