@@ -23,9 +23,9 @@ from .corpus import (
 )
 from .errors import PhiconError
 from .evaluate import (
-    ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
-    experiment_arms, experiment_records, format_eval_report,
-    format_experiment_table,
+    ABLATION_ARMS, binary_token_f1, cross_dataset_eval, experiment_arms,
+    experiment_records, format_eval_report, format_experiment_table,
+    sweep_arms,
 )
 from .lexicon import (
     DEFAULT_GENERATED_COUNTS, DEFAULT_GENERATOR_SPECS, GeneratorSpec,
@@ -277,15 +277,20 @@ def _cmd_eval(args, config):
     return 0
 
 
-def _cmd_xeval(args, config):
-    """xeval, and ablate (xeval with the four ABLATION_ARMS)."""
+def _cmd_experiment(args, config):
+    """xeval; ablate, which is xeval with the four ABLATION_ARMS; and sweep,
+    which runs the sweep_arms of its alphas against its --dev set."""
     train_c = read_conll(args.train)
     test_c = read_conll(args.test)
     cfg = _augment_config(args, config)
     given = _given(args, config, "experiment", ("n_seeds", "epochs"))
     if args.fraction is not None:
         given["train_fraction"] = args.fraction
-    arms = experiment_arms(args.arms.split(","), cfg)
+    if args.command == "sweep":
+        arms = sweep_arms(_setting(args, config, "experiment", "alphas")
+                          or [1, 2, 3, 4], cfg)
+    else:
+        arms = experiment_arms(args.arms.split(","), cfg)
     needs_aug = any(c is not None for _, c in arms)
     registry = _build_registry(args, config) if needs_aug else None
     provider = _build_provider(args, config) if needs_aug else None
@@ -296,23 +301,6 @@ def _cmd_xeval(args, config):
     if args.records:
         with atomic_open(args.records) as f:
             f.write("\n".join(experiment_records(result)) + "\n")
-    return 0
-
-
-def _cmd_sweep(args, config):
-    train_c = read_conll(args.train)
-    dev_c = read_conll(args.dev)
-    cfg = _augment_config(args, config)
-    given = _given(args, config, "experiment", ("n_seeds", "epochs"))
-    alphas = _setting(args, config, "experiment", "alphas") or [1, 2, 3, 4]
-    registry = _build_registry(args, config)
-    provider = _build_provider(args, config)
-    curve = alpha_sweep(train_c, dev_c, alphas, cfg, registry=registry,
-                        provider=provider, setting=f"{args.train}->{args.dev}",
-                        **given)
-    print("alpha  mean_micro_f1")
-    for a, score in curve.items():
-        print(f"{a:<6} {score:.4f}")
     return 0
 
 
@@ -388,29 +376,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     for name, helptext in (("xeval", "cross-dataset experiment"),
-                           ("ablate", "4-arm ablation experiment")):
+                           ("ablate", "4-arm ablation experiment"),
+                           ("sweep", "augmentation-factor sweep on a dev set")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--train", required=True)
-        p.add_argument("--test", required=True)
+        if name == "sweep":
+            p.add_argument("--dev", dest="test", required=True)
+            p.add_argument("--alphas", type=_ALPHAS, default=None,
+                           help="e.g. 1,2,3,4")
+            p.set_defaults(fraction=None, records=None)
+        else:
+            p.add_argument("--test", required=True)
+            p.add_argument("--fraction", type=_FRACTION, default=None)
         if name == "xeval":
             p.add_argument("--arms", default="baseline,phicon")
             p.add_argument("--records", default=None)
-        else:
+        elif name == "ablate":
             p.set_defaults(arms=",".join(ABLATION_ARMS), records=None)
-        p.add_argument("--fraction", type=_FRACTION, default=None)
         p.add_argument("--seeds", dest="n_seeds", type=_COUNT, default=None)
         p.add_argument("--epochs", type=_COUNT, default=None)
         _add_augment_flags(p)
-        p.set_defaults(func=_cmd_xeval)
-
-    p = sub.add_parser("sweep", help="augmentation-factor sweep on a dev set")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--alphas", type=_ALPHAS, default=None, help="e.g. 1,2,3,4")
-    p.add_argument("--seeds", dest="n_seeds", type=_COUNT, default=None)
-    p.add_argument("--epochs", type=_COUNT, default=None)
-    _add_augment_flags(p)
-    p.set_defaults(func=_cmd_sweep)
+        p.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -40,7 +40,7 @@ class EvalReport:
 class ExperimentResult:
     setting: str
     train_fraction: float
-    alpha: int
+    alpha: int | None  # shared by every augmenting arm; None if they differ
     arms: dict[str, list[float]]  # arm name -> per-seed micro F1
     means: dict[str, float]
 
@@ -123,7 +123,8 @@ def cross_dataset_eval(train: Corpus, test: Corpus, arms,
     per_arm: dict[str, list[float]] = {name: [] for name, _ in arms}
     if len(per_arm) != len(arms):
         raise PhiconError("arm names must be unique")
-    alpha = next((cfg.alpha for _, cfg in arms if cfg is not None), 0)
+    alphas = {cfg.alpha for _, cfg in arms if cfg is not None} or {0}
+    alpha = alphas.pop() if len(alphas) == 1 else None
     # The test set is featurized once, then only read by the runs.
     test_feats = tagger.featurize_sentences(test.sentences())
 
@@ -174,32 +175,25 @@ def experiment_arms(names, base_config: AugmentConfig) -> list:
     return arms
 
 
-def alpha_sweep(train: Corpus, dev: Corpus, alphas, base_config: AugmentConfig,
-                n_seeds: int = 5, epochs: int = 5, registry=None,
-                provider=None, setting: str = "train->dev") -> dict[int, float]:
-    """Mean dev-set micro-F1 for each augmentation factor."""
+def sweep_arms(alphas, base_config: AugmentConfig) -> list:
+    """A phicon arm named alpha=<a> for each augmentation factor a."""
     if not alphas:
         raise PhiconError("alphas must be non-empty")
     if min(alphas) < 0 or len(set(alphas)) != len(alphas):
         raise PhiconError("alphas must be distinct and >= 0")
-    # One experiment, a phicon arm per alpha: shared subsamples and features.
-    arms = [(f"alpha={a}", cfg) for a in alphas for _, cfg in
+    return [(f"alpha={a}", cfg) for a in alphas for _, cfg in
             experiment_arms(["phicon"], replace(base_config, alpha=a))]
-    result = cross_dataset_eval(
-        train, dev, arms, train_fraction=1.0, n_seeds=n_seeds, epochs=epochs,
-        registry=registry, provider=provider, setting=setting)
-    return {a: result.means[f"alpha={a}"] for a in alphas}
 
 
-def ablation_run(train: Corpus, test: Corpus, base_config: AugmentConfig,
-                 n_seeds: int = 5, epochs: int = 5, registry=None,
-                 provider=None, train_fraction: float = 1.0,
-                 setting: str = "train->test") -> ExperimentResult:
-    """Four paired arms: baseline, PHI only, context only, full method."""
+def alpha_sweep(train: Corpus, dev: Corpus, alphas, base_config: AugmentConfig,
+                n_seeds: int = 5, epochs: int = 5, registry=None,
+                provider=None, setting: str = "train->dev") -> ExperimentResult:
+    """One experiment on the whole training set with the sweep_arms of
+    alphas, which share subsamples and features; the curve is its means."""
     return cross_dataset_eval(
-        train, test, experiment_arms(ABLATION_ARMS, base_config),
-        train_fraction=train_fraction, n_seeds=n_seeds, epochs=epochs,
-        registry=registry, provider=provider, setting=setting)
+        train, dev, sweep_arms(alphas, base_config), train_fraction=1.0,
+        n_seeds=n_seeds, epochs=epochs, registry=registry, provider=provider,
+        setting=setting)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +204,11 @@ def format_experiment_table(result: ExperimentResult) -> str:
     names = list(result.arms)
     n_seeds = max(len(v) for v in result.arms.values())
     width = max(12, max(len(n) for n in names) + 2)
-    head = (f"setting={result.setting}  fraction={result.train_fraction:g}  "
-            f"alpha={result.alpha}\n")
+    head = f"setting={result.setting}  fraction={result.train_fraction:g}"
+    if result.alpha is not None:
+        head += f"  alpha={result.alpha}"
     cols = "".join(f"  seed{i+1:<3}" for i in range(n_seeds))
-    lines = [head, f"{'arm':<{width}}{cols}  {'mean':>7}\n"]
+    lines = [head + "\n", f"{'arm':<{width}}{cols}  {'mean':>7}\n"]
     for name in names:
         scores = "".join(f"  {v:7.4f}" for v in result.arms[name])
         lines.append(f"{name:<{width}}{scores}  {result.means[name]:7.4f}\n")

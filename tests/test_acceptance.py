@@ -19,8 +19,8 @@ from phicon.corpus import (
     validate_bio,
 )
 from phicon.evaluate import (
-    ablation_run, alpha_sweep, binary_token_f1, cross_dataset_eval,
-    format_experiment_table,
+    ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
+    experiment_arms, format_experiment_table,
 )
 from phicon.lexicon import registry_resolve
 from phicon.rng import RandomStream
@@ -75,8 +75,9 @@ class TestCriterion2LowResourceAmplification:
 
 @pytest.fixture(scope="module")
 def ablation(site_splits, builtin_registry_s, builtin_provider_s):
-    return ablation_run(
-        site_splits["train_a"], site_splits["all_b"], AugmentConfig(alpha=2),
+    return cross_dataset_eval(
+        site_splits["train_a"], site_splits["all_b"],
+        experiment_arms(ABLATION_ARMS, AugmentConfig(alpha=2)),
         n_seeds=3, epochs=5, registry=builtin_registry_s,
         provider=builtin_provider_s, train_fraction=0.2,
         setting="SiteA->SiteB")
@@ -105,9 +106,10 @@ class TestCriterion4AlphaSweep:
         curve = {}
         for a in (0, 1, 2, 3, 4):
             t0 = time.monotonic()
-            curve.update(alpha_sweep(
+            curve[a] = alpha_sweep(
                 train, dev, [a], AugmentConfig(), n_seeds=2, epochs=5,
-                registry=builtin_registry_s, provider=builtin_provider_s))
+                registry=builtin_registry_s,
+                provider=builtin_provider_s).means[f"alpha={a}"]
             timings[a] = time.monotonic() - t0
         assert sorted(curve) == [0, 1, 2, 3, 4]
         baseline = curve[0]
@@ -117,6 +119,20 @@ class TestCriterion4AlphaSweep:
         # informational: runtime should grow roughly linearly in alpha
         print(f"\nalpha sweep timings (s): "
               f"{ {a: round(t, 2) for a, t in timings.items()} }")
+
+    def test_cross_site_every_alpha_beats_no_augmentation(
+            self, site_splits, builtin_registry_s, builtin_provider_s):
+        # On the in-domain dev split above the curve sits near 1.0, so the
+        # choice of alpha shows only against the other site.
+        means = alpha_sweep(
+            Corpus(site_splits["train_a"].documents[:40]),
+            site_splits["dev_b"], [0, 1, 2, 3, 4], AugmentConfig(),
+            n_seeds=2, epochs=5, registry=builtin_registry_s,
+            provider=builtin_provider_s).means
+        for a in (1, 2, 3, 4):
+            assert means[f"alpha={a}"] > means["alpha=0"], (
+                f"alpha={a} scored {means[f'alpha={a}']:.4f} vs "
+                f"alpha=0 {means['alpha=0']:.4f}")
 
 
 class TestCriterion5MetricOracle:

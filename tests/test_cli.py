@@ -502,11 +502,19 @@ class TestExperimentCommands:
                     "--arms", "nonsense", "--seeds", "1"]) == 1
 
     def test_sweep(self, two_sites, capsys):
+        # sweep prints the table of the library's alpha_sweep, an arm per
+        # alpha.
         a, b = two_sites
         assert run(["sweep", "--train", str(a), "--dev", str(b),
                     "--alphas", "0,1", "--seeds", "1", "--epochs", "1"]) == 0
         out = capsys.readouterr().out
-        assert "alpha" in out and "0" in out
+        result = phicon.alpha_sweep(
+            phicon.read_conll(a), phicon.read_conll(b), [0, 1],
+            phicon.AugmentConfig(), n_seeds=1, epochs=1,
+            registry=phicon.builtin_registry(seed=0),
+            provider=phicon.builtin_provider(), setting=f"{a}->{b}")
+        assert list(result.arms) == ["alpha=0", "alpha=1"]
+        assert out == phicon.evaluate.format_experiment_table(result)
 
     def test_ablate(self, two_sites, capsys):
         a, b = two_sites
@@ -748,7 +756,7 @@ _OPTIONAL = {
     "split": ["--ratios", "--seed"],
     "gen-lexicon": ["--count", "--seed"],
     "augment": ["--records", "--alpha", "--sr-rate", "--ri-rate", "--seed",
-                "--lexicon-dir", "--synonyms", "--jobs", "--dry-run"],
+                "--lexicon-dir", "--synonyms", "--dry-run"],
 }
 
 

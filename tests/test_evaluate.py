@@ -11,7 +11,7 @@ from phicon.errors import PhiconError
 from phicon import evaluate, tagger
 from phicon.evaluate import (
     ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
-    ablation_run, experiment_arms, experiment_records, format_eval_report,
+    experiment_arms, experiment_records, format_eval_report,
     format_experiment_table, _subsample,
 )
 from phicon.rng import RandomStream, derive_seed
@@ -333,7 +333,7 @@ class TestAlphaSweep:
         baseline = cross_dataset_eval(
             site_splits["train_a"], site_splits["dev_a"],
             [("alpha=0", None)], n_seeds=2, epochs=2)
-        assert sweep[0] == baseline.means["alpha=0"]
+        assert sweep.means["alpha=0"] == baseline.means["alpha=0"]
 
     def test_matches_one_experiment_per_alpha(
             self, site_splits, builtin_registry_s, builtin_provider_s):
@@ -346,7 +346,7 @@ class TestAlphaSweep:
             arm = (f"alpha={a}", replace(base, alpha=a) if a else None)
             result = cross_dataset_eval(
                 site_splits["train_a"], site_splits["dev_b"], [arm], **args)
-            assert sweep[a] == result.means[f"alpha={a}"]
+            assert sweep.means[f"alpha={a}"] == result.means[f"alpha={a}"]
 
     def test_empty_alphas_rejected(self, site_splits):
         with pytest.raises(PhiconError):
@@ -376,16 +376,18 @@ class TestExperimentArms:
 class TestAblation:
     def test_four_arms(self, site_splits, builtin_registry_s,
                        builtin_provider_s):
-        result = ablation_run(
-            site_splits["train_a"], site_splits["dev_b"], AugmentConfig(alpha=1),
+        result = cross_dataset_eval(
+            site_splits["train_a"], site_splits["dev_b"],
+            experiment_arms(ABLATION_ARMS, AugmentConfig(alpha=1)),
             n_seeds=1, epochs=2, registry=builtin_registry_s,
             provider=builtin_provider_s, train_fraction=0.2)
         assert tuple(result.arms) == ABLATION_ARMS
 
     def test_alpha_zero_collapses_arms(self, site_splits):
-        result = ablation_run(
+        result = cross_dataset_eval(
             site_splits["train_a"], site_splits["dev_b"],
-            AugmentConfig(alpha=0), n_seeds=1, epochs=1, train_fraction=0.2)
+            experiment_arms(ABLATION_ARMS, AugmentConfig(alpha=0)),
+            n_seeds=1, epochs=1, train_fraction=0.2)
         scores = {tuple(v) for v in result.arms.values()}
         assert len(scores) == 1
 
@@ -408,6 +410,29 @@ class TestRendering:
         assert len(lines) == 3  # 2 seeds + 1 mean
         parsed = [json.loads(l) for l in lines]
         assert parsed[-1]["seed"] == "mean"
+
+    @pytest.mark.parametrize("arms,alpha,header", [
+        ([("alpha=1", AugmentConfig(alpha=1)),
+          ("alpha=3", AugmentConfig(alpha=3))], None, ""),
+        ([("baseline", None), ("phicon", AugmentConfig(alpha=2))], 2,
+         "  alpha=2"),
+        ([("baseline", None)], 0, "  alpha=0"),
+    ], ids=["alphas-differ", "headline", "no-augmentation"])
+    def test_alpha_is_shared_by_augmenting_arms(
+            self, site_splits, builtin_registry_s, builtin_provider_s, arms,
+            alpha, header):
+        # The alpha used to be the first augmenting arm's, so a sweep's
+        # alpha=3 record read "alpha": 1.
+        result = cross_dataset_eval(
+            site_splits["train_a"], site_splits["dev_b"], arms,
+            train_fraction=0.2, n_seeds=1, epochs=1,
+            registry=builtin_registry_s, provider=builtin_provider_s,
+            setting="a->b")
+        assert result.alpha == alpha
+        assert [json.loads(r)["alpha"] for r in experiment_records(result)] \
+            == [alpha] * 2 * len(arms)
+        assert format_experiment_table(result).splitlines()[0] == \
+            "setting=a->b  fraction=0.2" + header
 
     def test_eval_report_rendering(self):
         gold = _corpus_from_label_rows([["B-NAME", "O"]])
