@@ -346,24 +346,22 @@ def map_to_coarse(corpus: Corpus) -> Corpus:
 
     Rejects input that already carries coarse labels so a double mapping
     cannot pass silently. (The fine type "ID" coincides with the coarse
-    category "ID" and is mapped to itself; it cannot be told apart.)
+    category "ID" and is mapped to itself; it cannot be told apart.) Per
+    call, equal output tokens are one Token and equal labels one Label.
     """
-    tax = DEFAULT_TAXONOMY
-    coarse_only = set(tax.coarse_of.values()) - set(tax.fine_types)
+    coarse_of = {None: None, **DEFAULT_TAXONOMY.coarse_of}  # fine -> coarse
+    table: dict = {}
 
-    def label_of(lab: Label) -> Label:
-        if not lab.is_phi:
-            return lab
-        if lab.phi_type in coarse_only:
+    def token_of(t: Token) -> Token:
+        if (phi_type := t.label.phi_type) not in coarse_of:
             raise PhiconError(
-                f"label {lab} is already coarse; corpus mapped twice?")
-        if lab.phi_type not in tax.fine_types:
-            raise PhiconError(f"unknown fine type {lab.phi_type!r}")
-        return Label(lab.kind, tax.coarse_of[lab.phi_type])
+                f"label {t.label} is already coarse; corpus mapped twice?"
+                if phi_type in coarse_of.values()
+                else f"unknown fine type {phi_type!r}")
+        return _shared_token(table, (t.text, t.label.kind, coarse_of[phi_type]))
     return Corpus(tuple(
         Document(doc.id, tuple(
-            Sentence(tuple(Token(t.text, label_of(t.label))
-                           for t in sent.tokens))
+            Sentence(tuple(map(token_of, sent.tokens)))
             for sent in doc.sentences))
         for doc in corpus.documents))
 
@@ -417,10 +415,22 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 
 
 def relabel_from_spans(texts: list[str], spans: list[EntitySpan]) -> Sentence:
-    """Rebuild a sentence from token texts plus its entity spans."""
-    labels = [O] * len(texts)
+    """Rebuild a sentence from token texts plus its entity spans; equal
+    tokens in it are one Token."""
+    return _relabel(texts, spans, {})
+
+
+def _relabel(texts, spans, table: dict) -> Sentence:
+    keys = [(t, OUTSIDE, None) for t in texts]
     for span in spans:
-        labels[span.start] = Label(BEGIN, span.phi_type)
-        for i in range(span.start + 1, span.end):
-            labels[i] = Label(INSIDE, span.phi_type)
-    return Sentence(tuple(Token(t, l) for t, l in zip(texts, labels)))
+        for i in range(span.start, span.end):
+            keys[i] = (texts[i], INSIDE if i > span.start else BEGIN, span.phi_type)
+    return Sentence(tuple([_shared_token(table, k) for k in keys]))
+
+
+def _shared_token(table: dict, key: tuple) -> Token:
+    """table's Token for (text, kind, phi_type), sharing its Label under key[1:]."""
+    if (tok := table.get(key)) is None:
+        label = table.setdefault(key[1:], Label(*key[1:]))
+        tok = table[key] = Token(key[0], label)
+    return tok

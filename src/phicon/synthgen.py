@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Document, Sentence, relabel_from_spans, EntitySpan
+from .corpus import Corpus, Document, Sentence, EntitySpan, _relabel
 from .errors import PhiconError
 from .lexicon import DEFAULT_GENERATOR_SPECS, render_pattern
 from .rng import RandomStream, derive_seed
@@ -190,7 +190,7 @@ def builtin_profiles() -> tuple[SiteProfile, SiteProfile]:
 
 
 def _fill_template(template: str, profile: SiteProfile,
-                   rng: RandomStream) -> Sentence:
+                   rng: RandomStream, table: dict) -> Sentence:
     texts: list[str] = []
     spans: list[EntitySpan] = []
     for word in template.split(" "):
@@ -221,19 +221,21 @@ def _fill_template(template: str, profile: SiteProfile,
         spans.append(EntitySpan(len(texts), len(texts) + len(words),
                                 phi_type, entity))
         texts.extend(words)
-    return relabel_from_spans(texts, spans)
+    return _relabel(texts, spans, table)
 
 
 def generate_corpus(profile: SiteProfile, n_documents: int,
                     sentences_per_doc: tuple[int, int] = (8, 15),
                     seed: int = 0) -> Corpus:
-    """A corpus of templated fake notes, deterministic in all arguments."""
+    """A corpus of templated fake notes, deterministic in all arguments.
+    Equal tokens in it are one Token, and equal labels one Label."""
     if n_documents < 1:
         raise PhiconError("n_documents must be >= 1")
     lo, hi = sentences_per_doc
     if not 1 <= lo <= hi:
         raise PhiconError("bad sentences_per_doc range")
     documents = []
+    table: dict = {}  # shared tokens and labels, see corpus._shared_token
     for di in range(n_documents):
         doc_rng = RandomStream(derive_seed(seed, di))
         n_sents = lo + doc_rng.randrange(hi - lo + 1)
@@ -241,7 +243,7 @@ def generate_corpus(profile: SiteProfile, n_documents: int,
         for si in range(n_sents):
             rng = RandomStream(derive_seed(seed, di, si))
             template = rng.choice(profile.template_pool)
-            sentences.append(_fill_template(template, profile, rng))
+            sentences.append(_fill_template(template, profile, rng, table))
         documents.append(
             Document(f"{profile.name}-{di:04d}", tuple(sentences)))
     return Corpus(tuple(documents))

@@ -18,7 +18,7 @@ from functools import partial
 from itertools import repeat, zip_longest
 
 from .corpus import (
-    DEFAULT_TAXONOMY, Corpus, Label, Sentence, atomic_open, serialize_conll)
+    DEFAULT_TAXONOMY, Corpus, Label, Sentence, _document_text, atomic_open)
 from .errors import ModelFormatError, PhiconError
 from .rng import LEFT_TO_RIGHT, RandomStream, derive_seed
 
@@ -127,7 +127,10 @@ def _pick(score, cache, key, allowed, *args):
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
-    return hashlib.sha256(serialize_conll(corpus).encode("utf-8")).hexdigest()[:16]
+    h = hashlib.sha256()  # of serialize_conll(corpus), one document at a time
+    for doc in corpus.documents:
+        h.update(_document_text(doc).encode("utf-8"))
+    return h.hexdigest()[:16]
 
 
 def train(corpus: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:

@@ -369,6 +369,51 @@ class TestMapToCoarse:
         assert [(s.start, s.end) for s in spans] == [(2, 3), (5, 7)]
         assert phicon.validate_bio(mapped.documents[0].sentences[0]) == []
 
+    def test_repeated_coarse_token_rejected(self):
+        # "x B-Doctor" maps to "x B-NAME"; the input's own "x B-NAME", one
+        # shared Token at both places, is still rejected.
+        corpus = phicon.parse_conll("x\tB-Doctor\n\nx\tB-NAME\nx\tB-NAME\n")
+        with pytest.raises(PhiconError, match="already coarse"):
+            phicon.map_to_coarse(corpus)
+
+    def test_parsed_corpus_keeps_one_token_per_distinct_line(self):
+        text = ("#doc id=a\nSmith\tB-Patient\nthe\tO\n\n"
+                "#doc id=b\nthe\tO\nSmith\tB-Doctor\nSmith\tB-Patient\n\n")
+        tokens = [t for s in phicon.map_to_coarse(
+            phicon.parse_conll(text)).sentences() for t in s.tokens]
+        assert [f"{t.text} {t.label}" for t in tokens] == [
+            "Smith B-NAME", "the O", "the O", "Smith B-NAME", "Smith B-NAME"]
+        assert len({id(t) for t in tokens}) == 2
+        assert len({id(t.label) for t in tokens}) == 2
+
+    def test_matches_per_token_reference(self, fig_sentence):
+        fine = phicon.generate_corpus(
+            phicon.builtin_profiles()[0], 20, (5, 10), seed=3)
+        for corpus in (fine, _one_doc(fig_sentence)):
+            assert phicon.map_to_coarse(corpus) == _coarse_reference(corpus)
+
+    def test_generated_corpus_keeps_one_token_per_distinct_token(self):
+        mapped = phicon.map_to_coarse(phicon.generate_corpus(
+            phicon.builtin_profiles()[0], 20, (5, 10), seed=3))
+        tokens = [t for s in mapped.sentences() for t in s.tokens]
+        assert len({id(t) for t in tokens}) == \
+            len({(t.text, str(t.label)) for t in tokens}) < len(tokens)
+        assert len({id(t.label) for t in tokens}) == \
+            len({str(t.label) for t in tokens})
+
+
+def _coarse_reference(corpus: Corpus) -> Corpus:
+    """map_to_coarse built token by token: a fresh Token and Label each."""
+    coarse_of = phicon.DEFAULT_TAXONOMY.coarse_of
+    return Corpus(tuple(
+        Document(doc.id, tuple(
+            Sentence(tuple(
+                Token(t.text, Label(t.label.kind, coarse_of[t.label.phi_type])
+                      if t.label.is_phi else Label(t.label.kind))
+                for t in s.tokens))
+            for s in doc.sentences))
+        for doc in corpus.documents))
+
 
 class TestSplitCorpus:
     def _docs(self, n):

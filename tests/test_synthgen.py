@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 import phicon
-from phicon.corpus import validate_bio
+from phicon.corpus import (
+    Corpus, Document, Label, O, Sentence, Token, validate_bio,
+)
 from phicon.errors import PhiconError
 from phicon.synthgen import builtin_profiles, generate_corpus
 
@@ -103,8 +107,55 @@ class TestGenerateCorpus:
                 if span.phi_type in curated:
                     assert span.surface in curated[span.phi_type]
 
+    def test_one_token_per_distinct_token(self, profiles):
+        for profile in profiles:
+            corpus = generate_corpus(profile, 20, (5, 10), seed=3)
+            tokens = [t for s in corpus.sentences() for t in s.tokens]
+            assert len({id(t) for t in tokens}) == \
+                len({(t.text, str(t.label)) for t in tokens}) < len(tokens)
+            assert len({id(t.label) for t in tokens}) == \
+                len({str(t.label) for t in tokens})
+
+    def test_matches_per_token_reference(self, profiles):
+        for profile in profiles:
+            corpus = generate_corpus(profile, 20, (5, 10), seed=3)
+            assert corpus == _per_token_reference(corpus)
+
+    @pytest.mark.parametrize("site, seed, fine_sha, coarse_sha", [
+        (0, 11, "ca9e0d9d954e305f7dcaa91508d53f7f49d79645f600094d899b688cb2392c13",
+         "96ce8dfba6053e722d8eb663d8cb487272d8c65d840c429233cb2cae41d5fc6a"),
+        (1, 22, "426969c722b5c424fd3971b6aff63acc67e620b820434b9c780d7ef52fcf197f",
+         "e22558934452a39cd61b4537ddc0ce19066025dc29afffb827604ff446504b05"),
+    ], ids=["SiteA", "SiteB"])
+    def test_pinned_bytes(self, profiles, site, seed, fine_sha, coarse_sha):
+        # The acceptance-scale sites; the coarse bytes are the README CLI
+        # quick start's site_a.conll and site_b.conll.
+        fine = generate_corpus(profiles[site], 200, (8, 15), seed=seed)
+        for corpus, sha in ((fine, fine_sha),
+                            (phicon.map_to_coarse(fine), coarse_sha)):
+            text = phicon.serialize_conll(corpus)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
+
     def test_bad_arguments(self, profiles):
         with pytest.raises(PhiconError):
             generate_corpus(profiles[0], 0)
         with pytest.raises(PhiconError):
             generate_corpus(profiles[0], 1, (5, 3))
+
+
+def _per_token_reference(corpus: Corpus) -> Corpus:
+    """corpus rebuilt from each sentence's texts and entity spans with a
+    fresh Token and Label per token."""
+    docs = []
+    for doc in corpus.documents:
+        sents = []
+        for s in doc.sentences:
+            labels = [O] * len(s)
+            for span in phicon.extract_entities(s):
+                labels[span.start] = Label("B", span.phi_type)
+                for i in range(span.start + 1, span.end):
+                    labels[i] = Label("I", span.phi_type)
+            sents.append(Sentence(tuple(
+                Token(t.text, lab) for t, lab in zip(s.tokens, labels))))
+        docs.append(Document(doc.id, tuple(sents)))
+    return Corpus(tuple(docs))

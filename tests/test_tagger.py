@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -109,6 +110,17 @@ class TestTraining:
         assert model.training_meta["seed"] == 9
         assert model.training_meta["corpus_fingerprint"] == \
             corpus_fingerprint(corpus)
+
+    @pytest.mark.parametrize("docs", [5, 0])
+    def test_fingerprint_hashes_serialized_corpus(self, docs):
+        # Fed one document at a time, the digest is the whole text's.
+        corpus = Corpus(())
+        if docs:
+            corpus = phicon.generate_corpus(
+                phicon.builtin_profiles()[0], docs, (3, 6), seed=1)
+        text = phicon.serialize_conll(corpus)
+        assert corpus_fingerprint(corpus) == \
+            hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(PhiconError):
