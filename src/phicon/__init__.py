@@ -26,8 +26,7 @@ from .tagger import (
     save_model, train,
 )
 from .evaluate import (
-    EvalReport, ExperimentResult, alpha_sweep, binary_token_f1,
-    cross_dataset_eval,
+    EvalReport, ExperimentResult, binary_token_f1, cross_dataset_eval,
 )
 from .synthgen import SiteProfile, builtin_profiles, generate_corpus
 from .builtin import builtin_provider, builtin_registry

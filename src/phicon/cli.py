@@ -55,7 +55,9 @@ _ALPHAS = _arg_type(lambda raw: [int(a) for a in raw.split(",")],
                     lambda v: min(v) >= 0 and len(set(v)) == len(v),
                     "distinct comma-separated integers >= 0")
 _RATIOS = _arg_type(lambda raw: tuple(float(x) for x in raw.split(",")),
-                    lambda v: True, "comma-separated numbers")
+                    lambda v: len(v) == 3 and min(v) > 0
+                    and abs(sum(v) - 1.0) <= 1e-9,
+                    "three positive comma-separated numbers summing to 1")
 _COUNT = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
 _FRACTION = _arg_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _BOOL = _arg_type(
@@ -240,8 +242,6 @@ def _cmd_synth(args, config):
 
 def _cmd_split(args, config):
     corpus = read_conll(args.infile)
-    if len(args.ratios) != 3:
-        raise PhiconError("ratios must be three comma-separated numbers")
     train, dev, test = split_corpus(corpus, args.ratios, args.seed)
     for part, name in ((train, "train"), (dev, "dev"), (test, "test")):
         path = f"{args.out_prefix}.{name}.conll"
@@ -412,7 +412,7 @@ def run(argv=None) -> int:
         return args.func(args, config)
     # ValueError: a value the library rejects, e.g. from a config file
     except (PhiconError, OSError, ValueError, configparser.Error) as e:
-        _log("error: " + " ".join(str(e).split()))  # always one line
+        _log("error: " + " ".join(str(e).splitlines()))  # always one line
         return 1
 
 

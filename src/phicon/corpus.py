@@ -71,18 +71,6 @@ class PhiTaxonomy:
     coarse_of: dict[str, str]
     generator_backed: frozenset[str]
 
-    @property
-    def coarse_types(self) -> tuple[str, ...]:
-        seen = []
-        for t in self.fine_types:
-            c = self.coarse_of[t]
-            if c not in seen:
-                seen.append(c)
-        return tuple(seen)
-
-    def fines_of(self, coarse: str) -> tuple[str, ...]:
-        return tuple(t for t in self.fine_types if self.coarse_of[t] == coarse)
-
     def is_known(self, name: str) -> bool:
         return name in self.fine_types or name in self.coarse_of.values()
 
@@ -412,12 +400,6 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
                 coarse = DEFAULT_TAXONOMY.coarse_of.get(span.phi_type, span.phi_type)
                 by_coarse[coarse] = by_coarse.get(coarse, 0) + 1
     return CorpusStats(n, tokens / n, phi_spans / n, by_coarse)
-
-
-def relabel_from_spans(texts: list[str], spans: list[EntitySpan]) -> Sentence:
-    """Rebuild a sentence from token texts plus its entity spans; equal
-    tokens in it are one Token."""
-    return _relabel(texts, spans, {})
 
 
 def _relabel(texts, spans, table: dict) -> Sentence:

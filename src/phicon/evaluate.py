@@ -185,17 +185,6 @@ def sweep_arms(alphas, base_config: AugmentConfig) -> list:
             experiment_arms(["phicon"], replace(base_config, alpha=a))]
 
 
-def alpha_sweep(train: Corpus, dev: Corpus, alphas, base_config: AugmentConfig,
-                n_seeds: int = 5, epochs: int = 5, registry=None,
-                provider=None, setting: str = "train->dev") -> ExperimentResult:
-    """One experiment on the whole training set with the sweep_arms of
-    alphas, which share subsamples and features; the curve is its means."""
-    return cross_dataset_eval(
-        train, dev, sweep_arms(alphas, base_config), train_fraction=1.0,
-        n_seeds=n_seeds, epochs=epochs, registry=registry, provider=provider,
-        setting=setting)
-
-
 # ---------------------------------------------------------------------------
 # Report rendering
 

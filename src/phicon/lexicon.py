@@ -25,6 +25,9 @@ from .errors import ExhaustionError, LexiconError
 from .corpus import DEFAULT_TAXONOMY, PhiTaxonomy
 from .rng import RandomStream
 
+# An entry splits on single spaces into token texts, none with \t\n\r.
+_ENTRY = re.compile(r"[^\t\n\r ]+(?: [^\t\n\r ]+)*")
+
 
 @dataclass(frozen=True)
 class Lexicon:
@@ -34,8 +37,8 @@ class Lexicon:
     def __post_init__(self):
         seen = set()
         for e in self.entries:
-            if not e or "\t" in e or "\n" in e:
-                raise ValueError(f"bad lexicon entry {e!r}")
+            if not _ENTRY.fullmatch(e):
+                raise ValueError(f"bad {self.phi_type} lexicon entry {e!r}")
             if e in seen:
                 raise ValueError(f"duplicate lexicon entry {e!r}")
             seen.add(e)
@@ -248,14 +251,14 @@ class LexiconRegistry:
             if lex.phi_type != name:
                 raise LexiconError(
                     f"lexicon for {lex.phi_type} registered under {name}")
-        resolved = {}
-        for coarse in tax.coarse_types:
-            fines = [self.by_fine[f] for f in tax.fines_of(coarse)
-                     if f in self.by_fine]
+        unions: dict[str, dict] = {}
+        for fine in tax.fine_types:
+            coarse = tax.coarse_of[fine]
             # "ID" is also a fine type and resolves only to that lexicon
-            if fines and coarse not in tax.fine_types:
-                resolved[coarse] = Lexicon(coarse, tuple(dict.fromkeys(
-                    e for lex in fines for e in lex.entries)))
+            if fine in self.by_fine and coarse not in tax.fine_types:
+                unions.setdefault(coarse, {}).update(
+                    dict.fromkeys(self.by_fine[fine].entries))
+        resolved = {c: Lexicon(c, tuple(u)) for c, u in unions.items()}
         resolved.update(self.by_fine)
         object.__setattr__(self, "_resolved", resolved)
 

@@ -76,7 +76,7 @@ class SynonymProvider:
 
 
 def _normalize(lemma: str) -> str:
-    return lemma.replace("_", " ").lower()
+    return " ".join(lemma.replace("_", " ").lower().split())
 
 
 def _build(index: dict, stopwords=STOPWORDS) -> SynonymProvider:
@@ -123,6 +123,8 @@ def _parse_data_file(path) -> dict[str, list[str]]:
                     _normalize(_strip_marker(fields[4 + 2 * i]))
                     for i in range(w_cnt)
                 ]
+                if not all(words):
+                    raise ValueError
             except (IndexError, ValueError):
                 raise ParseError("malformed WNDB data line",
                                  str(path), lineno) from None
@@ -145,7 +147,7 @@ def _parse_index_file(path) -> dict[str, list[str]]:
                 p_cnt = int(fields[3])
                 tail = [x for x in fields[4 + p_cnt:] if x]
                 offsets = tail[2:2 + synset_cnt]
-                if len(offsets) != synset_cnt:
+                if not lemma or len(offsets) != synset_cnt:
                     raise ValueError
                 for off in offsets:
                     int(off)
@@ -206,8 +208,10 @@ def load_tsv(path, stopwords=STOPWORDS) -> SynonymProvider:
             pos = _POS_ALIASES.get(rawpos.strip().lower())
             if pos is None:
                 raise ParseError(f"bad POS tag {rawpos!r}", str(path), lineno)
-            lemma = _normalize(lemma.strip())
-            syns = {_normalize(s.strip()) for s in rawsyns.split(",") if s.strip()}
+            lemma = _normalize(lemma)
+            if not lemma:
+                raise ParseError("empty lemma", str(path), lineno)
+            syns = set(map(_normalize, rawsyns.split(","))) - {""}
             index.setdefault((lemma, pos), set()).update(syns)
     return _build(index, stopwords)
 

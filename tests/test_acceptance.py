@@ -19,8 +19,8 @@ from phicon.corpus import (
     validate_bio,
 )
 from phicon.evaluate import (
-    ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
-    experiment_arms, format_experiment_table,
+    ABLATION_ARMS, binary_token_f1, cross_dataset_eval, experiment_arms,
+    format_experiment_table, sweep_arms,
 )
 from phicon.lexicon import registry_resolve
 from phicon.rng import RandomStream
@@ -106,9 +106,9 @@ class TestCriterion4AlphaSweep:
         curve = {}
         for a in (0, 1, 2, 3, 4):
             t0 = time.monotonic()
-            curve[a] = alpha_sweep(
-                train, dev, [a], AugmentConfig(), n_seeds=2, epochs=5,
-                registry=builtin_registry_s,
+            curve[a] = cross_dataset_eval(
+                train, dev, sweep_arms([a], AugmentConfig()), n_seeds=2,
+                epochs=5, registry=builtin_registry_s,
                 provider=builtin_provider_s).means[f"alpha={a}"]
             timings[a] = time.monotonic() - t0
         assert sorted(curve) == [0, 1, 2, 3, 4]
@@ -124,9 +124,9 @@ class TestCriterion4AlphaSweep:
             self, site_splits, builtin_registry_s, builtin_provider_s):
         # On the in-domain dev split above the curve sits near 1.0, so the
         # choice of alpha shows only against the other site.
-        means = alpha_sweep(
+        means = cross_dataset_eval(
             Corpus(site_splits["train_a"].documents[:40]),
-            site_splits["dev_b"], [0, 1, 2, 3, 4], AugmentConfig(),
+            site_splits["dev_b"], sweep_arms([0, 1, 2, 3, 4], AugmentConfig()),
             n_seeds=2, epochs=5, registry=builtin_registry_s,
             provider=builtin_provider_s).means
         for a in (1, 2, 3, 4):

@@ -114,6 +114,17 @@ class TestSynonymReplace:
         assert [t.text for t in out.tokens] == ["health", "center"]
         assert all(t.label.kind == "O" for t in out.tokens)
 
+    def test_synonym_with_whitespace_run_splits_into_words(self, tmp_path):
+        # A double space inside a table's synonym used to reach the
+        # sentence as an empty token text.
+        path = tmp_path / "syn.tsv"
+        path.write_text("stable\tadj\tvery  steady\n")
+        provider = phicon.load_tsv(path)
+        s = sent(("Patient", "O"), ("stable", "O"), ("Ann", "B-Patient"))
+        out = synonym_replace(s, provider, 1.0, RandomStream(3))
+        assert [t.text for t in out.tokens] == [
+            "Patient", "very", "steady", "Ann"]
+
     def test_rate_rounds_up_to_one(self, tsv_provider):
         # Even a tiny rate edits at least one eligible word.
         s = sent(("met", "O"), ("quick", "O"))
@@ -145,6 +156,16 @@ class TestRandomInsert:
     def test_no_anchor_is_identity(self, tsv_provider):
         s = sent(("zzz", "O"),)
         assert random_insert(s, tsv_provider, 1.0, RandomStream(3)) == s
+
+    def test_lemma_with_whitespace_run_splits_into_words(self, tmp_path):
+        # The adverb lemma reaches pos_pool, whose words RI inserts.
+        path = tmp_path / "syn.tsv"
+        path.write_text("met\tverb\tsaw\nvery  quickly\tadv\t\n")
+        provider = phicon.load_tsv(path)
+        assert provider.pos_pool(PosTag.ADVERB) == ("very quickly",)
+        out = random_insert(sent(("met", "O"),), provider, 1.0,
+                            RandomStream(3))
+        assert [t.text for t in out.tokens] == ["very", "quickly", "met"]
 
     def test_empty_pool_raises(self, tmp_path):
         path = tmp_path / "noadv.tsv"

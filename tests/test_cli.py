@@ -199,6 +199,22 @@ class TestConfig:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_generated_entry_augmentation_cannot_place(
+            self, small_conll, tmp_path, capsys):
+        # The double space drew entries whose split(" ") holds an empty
+        # word: augmenting a Zip span failed with "bad token text ''",
+        # which names neither the entry nor its type.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Zip]\npatterns = \\d{2}  \\d{3}\n"
+                       "count = 50\n")
+        out = tmp_path / "aug.conll"
+        assert run(["--config", str(cfg), "augment", "--in", str(small_conll),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: bad Zip lexicon entry '\d{2}  \d{3}'\n",
+                            err), err
+        assert not out.exists()
+
     def test_generator_value_checked_when_read(self, small_conll, tmp_path):
         # A section value is typed only by a command that reads it, and a
         # flag that wins leaves the section value unread.
@@ -229,12 +245,13 @@ class TestSynthSplitStats:
 
     def test_bad_ratios(self, small_conll, tmp_path, capsys):
         # NaN fails every comparison, so it used to pass a `<= 0` test.
-        for ratios, message in (("0.5,0.5", "three comma-separated"),
-                                ("nan,0.5,0.5", "ratios must be positive")):
+        # A bad flag value is a usage error (exit 2); these used to exit 1.
+        for ratios in ("0.5,0.5", "nan,0.5,0.5", "0.5,nan,0.5"):
             assert run(["split", "--in", str(small_conll),
                         "--out-prefix", str(tmp_path / "p"),
-                        "--ratios", ratios]) == 1
-            assert message in capsys.readouterr().err
+                        "--ratios", ratios]) == 2
+            assert ("three positive comma-separated numbers summing to 1"
+                    in capsys.readouterr().err)
 
     def test_stats(self, small_conll, capsys):
         assert run(["stats", "--in", str(small_conll)]) == 0
@@ -400,6 +417,20 @@ class TestAugmentCommand:
                     "--alpha", "1", "--seed", "1",
                     "--synonyms", str(tsv)]) == 0
 
+    def test_tsv_synonym_with_whitespace_run(self, tmp_path):
+        # Used to exit 1 with "bad token text ''".
+        corpus = tmp_path / "a.conll"
+        corpus.write_text("#doc id=a\nPatient\tO\nstable\tO\n"
+                          "Ann\tB-Patient\n\n")
+        tsv = tmp_path / "syn.tsv"
+        tsv.write_text("stable\tadj\tvery  steady\n")
+        out = tmp_path / "aug.conll"
+        assert run(["augment", "--in", str(corpus), "--out", str(out),
+                    "--alpha", "1", "--synonyms", str(tsv)]) == 0
+        augmented = list(phicon.read_conll(out).sentences())[1]
+        assert [t.text for t in augmented.tokens][:3] == [
+            "Patient", "very", "steady"]
+
     def test_wndb_synonym_source(self, small_conll, tmp_path):
         out = tmp_path / "aug.conll"
         wndb = os.path.join(DATA_DIR, "wndb")
@@ -502,15 +533,16 @@ class TestExperimentCommands:
                     "--arms", "nonsense", "--seeds", "1"]) == 1
 
     def test_sweep(self, two_sites, capsys):
-        # sweep prints the table of the library's alpha_sweep, an arm per
-        # alpha.
+        # sweep prints the table of one experiment over the library's
+        # sweep_arms, an arm per alpha.
         a, b = two_sites
         assert run(["sweep", "--train", str(a), "--dev", str(b),
                     "--alphas", "0,1", "--seeds", "1", "--epochs", "1"]) == 0
         out = capsys.readouterr().out
-        result = phicon.alpha_sweep(
-            phicon.read_conll(a), phicon.read_conll(b), [0, 1],
-            phicon.AugmentConfig(), n_seeds=1, epochs=1,
+        result = phicon.cross_dataset_eval(
+            phicon.read_conll(a), phicon.read_conll(b),
+            phicon.evaluate.sweep_arms([0, 1], phicon.AugmentConfig()),
+            n_seeds=1, epochs=1,
             registry=phicon.builtin_registry(seed=0),
             provider=phicon.builtin_provider(), setting=f"{a}->{b}")
         assert list(result.arms) == ["alpha=0", "alpha=1"]
@@ -562,6 +594,13 @@ class TestExitContract:
          None, 2),
         (["split", "--in", "{corpus}", "--out-prefix", "{out}",
           "--ratios", "a,b,c"], None, 2),
+        # Each used to exit 1.
+        (["split", "--in", "{corpus}", "--out-prefix", "{out}",
+          "--ratios", "0.5,0.5"], None, 2),
+        (["split", "--in", "{corpus}", "--out-prefix", "{out}",
+          "--ratios=-1,1,1"], None, 2),
+        (["split", "--in", "{corpus}", "--out-prefix", "{out}",
+          "--ratios", "0.7,0.2,0.2"], None, 2),
         (["sweep", "--train", "{corpus}", "--dev", "{corpus}",
           "--alphas", "1,x"], None, 2),
         (["augment", "--in", "{corpus}", "--out", "{out}"],
@@ -608,7 +647,8 @@ class TestExitContract:
         # Used to exit 0 and write "x".
         (["gen-lexicon", "--type", "ID", "--out", "{out}"],
          "[generator.ID]\npatterns = \\d{0}x\ncount = 1\n", 1),
-    ], ids=["alpha", "sr-rate", "ratios", "alphas", "config-value",
+    ], ids=["alpha", "sr-rate", "ratios", "ratios-two", "ratios-negative",
+            "ratios-sum", "alphas", "config-value",
             "config-no-section", "non-utf8-input", "synth-docs",
             "synth-min-sentences", "train-epochs", "xeval-seeds",
             "ablate-epochs", "sweep-seeds", "sweep-epochs", "fraction-0",

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import phicon
 from phicon.corpus import (
-    Corpus, Document, Label, O, Sentence, Token, atomic_open,
-    relabel_from_spans,
+    Corpus, Document, Label, O, Sentence, Token, _relabel, atomic_open,
 )
 from phicon.errors import BioViolationError, ParseError, PhiconError
 
@@ -274,7 +273,8 @@ def test_parse_serialize_round_trip(corpus):
 def test_extract_relabel_identity(sentence):
     spans = phicon.extract_entities(sentence)
     texts = [t.text for t in sentence.tokens]
-    assert relabel_from_spans(texts, spans) == sentence
+    # the rebuild generate_corpus makes, here with a fresh token table
+    assert _relabel(texts, spans, {}) == sentence
 
 
 class TestToken:
@@ -336,7 +336,8 @@ class TestTaxonomy:
     def test_coarse_of_is_total(self):
         tax = phicon.DEFAULT_TAXONOMY
         assert sorted(tax.coarse_of) == sorted(tax.fine_types)
-        assert len(tax.fine_types) == 11 and len(tax.coarse_types) == 5
+        assert len(tax.fine_types) == 11
+        assert len(set(tax.coarse_of.values())) == 5
         assert tax.generator_backed <= set(tax.fine_types)
 
 

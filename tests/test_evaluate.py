@@ -10,9 +10,9 @@ from phicon.corpus import DEFAULT_TAXONOMY, Corpus, Document, Label, Sentence
 from phicon.errors import PhiconError
 from phicon import evaluate, tagger
 from phicon.evaluate import (
-    ABLATION_ARMS, alpha_sweep, binary_token_f1, cross_dataset_eval,
-    experiment_arms, experiment_records, format_eval_report,
-    format_experiment_table, _subsample,
+    ABLATION_ARMS, binary_token_f1, cross_dataset_eval, experiment_arms,
+    experiment_records, format_eval_report, format_experiment_table,
+    sweep_arms, _subsample,
 )
 from phicon.rng import RandomStream, derive_seed
 from tests.conftest import sent
@@ -105,7 +105,8 @@ def _noised(corpus, seed):
     """The gold labels with about half of them replaced: by Outside, or by
     a Begin/Inside label of a random fine, coarse or off-taxonomy type."""
     tax = DEFAULT_TAXONOMY
-    types = [*tax.fine_types, *tax.coarse_types, "Bogus"]
+    types = [*tax.fine_types,
+             *dict.fromkeys(map(tax.coarse_of.get, tax.fine_types)), "Bogus"]
     rng = RandomStream(seed)
     rows = []
     for s in corpus.sentences():
@@ -319,16 +320,17 @@ class TestCrossDatasetEval:
 
 
 class TestAlphaSweep:
-    def test_duplicate_alpha_rejected(self, site_splits):
+    """The sweep is one experiment over the sweep_arms of its alphas."""
+
+    def test_duplicate_alpha_rejected(self):
         with pytest.raises(PhiconError, match="distinct"):
-            alpha_sweep(site_splits["train_a"], site_splits["dev_a"],
-                        [0, 0], AugmentConfig(), n_seeds=1, epochs=1)
+            sweep_arms([0, 0], AugmentConfig())
 
     def test_alpha_zero_equals_baseline(self, site_splits, builtin_registry_s,
                                         builtin_provider_s):
-        sweep = alpha_sweep(
-            site_splits["train_a"], site_splits["dev_a"], [0],
-            AugmentConfig(), n_seeds=2, epochs=2,
+        sweep = cross_dataset_eval(
+            site_splits["train_a"], site_splits["dev_a"],
+            sweep_arms([0], AugmentConfig()), n_seeds=2, epochs=2,
             registry=builtin_registry_s, provider=builtin_provider_s)
         baseline = cross_dataset_eval(
             site_splits["train_a"], site_splits["dev_a"],
@@ -340,18 +342,18 @@ class TestAlphaSweep:
         args = dict(n_seeds=1, epochs=1, registry=builtin_registry_s,
                     provider=builtin_provider_s)
         base = AugmentConfig(master_seed=4)
-        sweep = alpha_sweep(site_splits["train_a"], site_splits["dev_b"],
-                            [1, 0], base, **args)
+        sweep = cross_dataset_eval(site_splits["train_a"],
+                                   site_splits["dev_b"],
+                                   sweep_arms([1, 0], base), **args)
         for a in (1, 0):
             arm = (f"alpha={a}", replace(base, alpha=a) if a else None)
             result = cross_dataset_eval(
                 site_splits["train_a"], site_splits["dev_b"], [arm], **args)
             assert sweep.means[f"alpha={a}"] == result.means[f"alpha={a}"]
 
-    def test_empty_alphas_rejected(self, site_splits):
+    def test_empty_alphas_rejected(self):
         with pytest.raises(PhiconError):
-            alpha_sweep(site_splits["train_a"], site_splits["dev_a"], [],
-                        AugmentConfig())
+            sweep_arms([], AugmentConfig())
 
 
 class TestExperimentArms:

@@ -12,6 +12,23 @@ from phicon.lexicon import DEFAULT_GENERATED_COUNTS, render_pattern
 from phicon.rng import RandomStream
 
 
+class TestLexiconEntries:
+    # phi_augment splits an entry on single spaces into token texts, so an
+    # entry is rejected unless each of its words is a valid token text.
+    @pytest.mark.parametrize("entry", [
+        "", "Mercy  General", " Mercy", "Mercy ", " ", "Mercy\rGeneral",
+        "Mercy\r", "a\tb", "a\nb"])
+    def test_entry_augmentation_cannot_place_rejected(self, entry):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad Hospital lexicon entry {entry!r}")):
+            phicon.Lexicon("Hospital", ("Ohio", entry))
+
+    @pytest.mark.parametrize("entry", ["Mercy", "Mercy General", "a-b c.d",
+                                       "Mercy\xa0General"])
+    def test_entry_of_valid_words_accepted(self, entry):
+        assert phicon.Lexicon("Hospital", (entry,)).entries == (entry,)
+
+
 class TestLoadLexicon:
     def test_dedup_preserving_order(self, tmp_path):
         path = tmp_path / "patients.txt"
@@ -258,19 +275,42 @@ class TestRegistryResolve:
             for e in fixture_registry.by_fine[fine].entries:
                 assert e in union.entries
 
-    def test_coarse_unions_match_reference(self):
-        registry = phicon.builtin_registry(seed=3)
-        tax = registry.taxonomy
-        for coarse in ("NAME", "LOCATION", "DATE", "CONTACT"):
-            entries, seen = [], set()
-            for fine in tax.fines_of(coarse):
+    @staticmethod
+    def _reference_union(registry, coarse):
+        # every registered fine type whose coarse_of is the category, in
+        # taxonomy order, entries deduplicated keeping the first
+        tax = phicon.DEFAULT_TAXONOMY
+        entries, seen = [], set()
+        for fine in tax.fine_types:
+            if tax.coarse_of[fine] == coarse and fine in registry.by_fine:
                 for e in registry.by_fine[fine].entries:
                     if e not in seen:
                         seen.add(e)
                         entries.append(e)
+        return tuple(entries)
+
+    def test_coarse_unions_match_reference(self):
+        registry = phicon.builtin_registry(seed=3)
+        for coarse in ("NAME", "LOCATION", "DATE", "CONTACT"):
             union = phicon.registry_resolve(registry, coarse)
             assert union.phi_type == coarse
-            assert union.entries == tuple(entries)
+            assert union.entries == self._reference_union(registry, coarse)
+
+    def test_coarse_unions_of_a_partial_registry(self):
+        full = phicon.builtin_registry(seed=3).by_fine
+        registry = phicon.LexiconRegistry({
+            fine: full[fine] for fine in ("Zip", "Username", "Hospital",
+                                          "MedicalRecord")})
+        for coarse in ("NAME", "LOCATION"):
+            union = phicon.registry_resolve(registry, coarse)
+            assert union.entries == self._reference_union(registry, coarse)
+        assert phicon.registry_resolve(registry, "NAME").entries == (
+            full["Username"].entries)
+        # no fine type of DATE or CONTACT is registered, and ID has only
+        # its MedicalRecord half, which the coarse name does not reach
+        for name in ("DATE", "CONTACT", "ID"):
+            with pytest.raises(LexiconError, match="no lexicon registered"):
+                phicon.registry_resolve(registry, name)
 
     def test_same_object_every_call(self):
         registry = phicon.builtin_registry(seed=3)

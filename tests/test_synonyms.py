@@ -45,6 +45,20 @@ class TestWndbLoader:
         with pytest.raises(ParseError):
             phicon.load_wndb(tmp_path)
 
+    @pytest.mark.parametrize("kind,text", [
+        ("index", "_ r 1 0 1 0 00030000\n"),
+        ("data", "00030000 02 r 02 quickly 0 __ 0 000 | fast\n"),
+    ], ids=["index", "data"])
+    def test_empty_lemma_rejected(self, tmp_path, wndb_dir, kind, text):
+        # A lemma of underscores normalizes to "", which RI would insert
+        # (or SR substitute) as an empty token.
+        import shutil
+        shutil.copytree(wndb_dir, tmp_path, dirs_exist_ok=True)
+        with open(tmp_path / f"{kind}.adv", "a", encoding="utf-8") as f:
+            f.write(text)
+        with pytest.raises(ParseError, match=f"malformed WNDB {kind} line"):
+            phicon.load_wndb(tmp_path)
+
     def test_deterministic_construction(self, wndb_dir):
         a = phicon.load_wndb(wndb_dir)
         b = phicon.load_wndb(wndb_dir)
@@ -74,6 +88,30 @@ class TestTsvLoader:
         path.write_text("met\tgerund\tx\n")
         with pytest.raises(ParseError):
             phicon.load_tsv(path)
+
+    def test_whitespace_runs_collapse(self, tmp_path):
+        path = tmp_path / "ws.tsv"
+        path.write_text(" Health   Center \tnoun\t health__care ,_clinic_\n")
+        provider = phicon.load_tsv(path)
+        assert list(provider.index) == [("health center", PosTag.NOUN)]
+        assert phicon.lookup_synonyms(
+            provider, "health center", PosTag.NOUN) == ["clinic", "health care"]
+
+    @pytest.mark.parametrize("line", ["\tadv\tquickly", "_\tadv\tquickly",
+                                      " _ \tnoun\t"])
+    def test_empty_lemma_rejected(self, tmp_path, line):
+        # An empty lemma would reach pos_pool, and RI would insert it as an
+        # empty token.
+        path = tmp_path / "empty.tsv"
+        path.write_text(f"met\tverb\tsaw\n{line}\n")
+        with pytest.raises(ParseError, match=":2: empty lemma"):
+            phicon.load_tsv(path)
+
+    def test_empty_synonym_dropped(self, tmp_path):
+        path = tmp_path / "syn.tsv"
+        path.write_text("met\tverb\t_, ,saw\n")
+        provider = phicon.load_tsv(path)
+        assert phicon.lookup_synonyms(provider, "met", PosTag.VERB) == ["saw"]
 
     def test_leading_bom_ignored(self, tmp_path):
         path = tmp_path / "bom.tsv"
