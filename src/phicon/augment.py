@@ -37,7 +37,6 @@ class AugmentConfig:
     enable_ri: bool = True
     master_seed: int = 0
     drop_unchanged: bool = True
-    keep_context_sentences: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -237,8 +236,6 @@ def augment_corpus(corpus: Corpus, registry: LexiconRegistry,
             sentences: list[Sentence] = []
             for si, sent in enumerate(doc.sentences):
                 if not any(t.label.is_phi for t in sent.tokens):
-                    if config.keep_context_sentences:
-                        sentences.append(sent)
                     continue
                 rng = RandomStream(derive_seed(config.master_seed, run, di, si))
                 result = augment_sentence(sent, registry, provider, config, rng)

@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .augment import AugmentConfig, augment_corpus, write_records
-from .builtin import builtin_provider, builtin_registry
+from .builtin import DEFAULT_BUILTIN_COUNTS, builtin_provider, builtin_registry
 from .corpus import (
     atomic_open, corpus_stats, map_to_coarse, read_conll, split_corpus,
     write_conll,
@@ -71,8 +71,7 @@ _SETTINGS = {
     "paths": {"lexicon_dir": str, "synonyms": str},
     "augment": {"alpha": _ALPHA, "sr_rate": _RATE, "ri_rate": _RATE,
                 "enable_phi": _BOOL, "enable_sr": _BOOL, "enable_ri": _BOOL,
-                "seed": int, "drop_unchanged": _BOOL,
-                "keep_context_sentences": _BOOL},
+                "seed": int, "drop_unchanged": _BOOL},
     "experiment": {"alphas": _ALPHAS, "n_seeds": _COUNT, "epochs": _COUNT},
     "generator": {
         "patterns": lambda raw: tuple(filter(None, raw.splitlines())),
@@ -131,28 +130,30 @@ def _augment_config(args, config) -> AugmentConfig:
     return AugmentConfig(**given)
 
 
-def _generator(args, config, phi_type: str):
-    """(spec, settings given) of the [generator.<Type>] section; without
-    patterns the spec is the type's default one."""
+def _generated(args, config, phi_type: str, count: int, seed: int):
+    """The [generator.<Type>] section's pool: its count of entries drawn
+    from its patterns under its seed; a key not given falls back to count,
+    the type's default spec and seed. Flags in args (may be None) win."""
     section = f"generator.{phi_type}"
     given = _given(args, config, section, _SETTINGS["generator"])
+    spec = DEFAULT_GENERATOR_SPECS[phi_type]
     try:
         if "patterns" in given:
-            return GeneratorSpec(phi_type, given["patterns"],
-                                 given.get("weights", ())), given
-        if "weights" in given:
+            spec = GeneratorSpec(phi_type, given["patterns"],
+                                 given.get("weights", ()))
+        elif "weights" in given:
             raise ValueError("weights given without patterns")
     except ValueError as e:
         raise PhiconError(f"[{section}]: {e}") from None
-    return DEFAULT_GENERATOR_SPECS[phi_type], given
+    return generate_identifiers(spec, given.get("count", count),
+                                given.get("seed", seed))
 
 
 def _build_registry(args, config) -> LexiconRegistry:
     """The builtin registry with the configured pools swapped in. Per PHI
-    type the first of these wins: a [generator.<Type>] patterns section, a
-    <Type>.txt in the lexicon dir, a section with a count but no patterns,
-    the builtin pool. A section's own seed wins over the registry seed (the
-    augmentation seed); sections take no flag."""
+    type a [generator.<Type>] section wins over a <Type>.txt in the lexicon
+    dir, which wins over the builtin pool. The registry seed (the
+    augmentation seed) is a section's default seed; sections take no flag."""
     seed = _augment_config(args, config).master_seed
     lexicon_dir = _setting(args, config, "paths", "lexicon_dir")
     lexicons = {}
@@ -163,18 +164,9 @@ def _build_registry(args, config) -> LexiconRegistry:
                     os.path.join(lexicon_dir, name), name[:-4])
     for section in config:
         kind, _, phi_type = section.partition(".")
-        if kind != "generator":
-            continue
-        spec, given = _generator(None, config, phi_type)
-        if "patterns" in given:
-            lexicons[phi_type] = generate_identifiers(
-                spec, given.get("count", 2000), given.get("seed", 0))
-        elif "count" in given and phi_type not in lexicons:
-            lexicons[phi_type] = generate_identifiers(
-                spec, given["count"], given.get("seed", seed))
-        elif "seed" in given and "count" not in given:
-            raise PhiconError(
-                f"[{section}]: seed given without patterns or count")
+        if kind == "generator":
+            lexicons[phi_type] = _generated(
+                None, config, phi_type, DEFAULT_BUILTIN_COUNTS[phi_type], seed)
     return builtin_registry(seed=seed, lexicons=lexicons)
 
 
@@ -216,10 +208,8 @@ def _cmd_augment(args, config):
 
 
 def _cmd_gen_lexicon(args, config):
-    spec, given = _generator(args, config, args.type)
-    lexicon = generate_identifiers(
-        spec, given.get("count", DEFAULT_GENERATED_COUNTS[args.type]),
-        given.get("seed", 0))
+    lexicon = _generated(args, config, args.type,
+                         DEFAULT_GENERATED_COUNTS[args.type], 0)
     with atomic_open(args.outfile) as f:
         for entry in lexicon.entries:
             f.write(entry + "\n")

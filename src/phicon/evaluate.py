@@ -98,9 +98,7 @@ def _subsample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     if k < 1:
         raise PhiconError(
             f"subsample of {n} documents at fraction {fraction} is empty")
-    docs = list(corpus.documents)
-    RandomStream(seed).shuffle(docs)
-    return Corpus(tuple(docs[:k]))
+    return Corpus(tuple(RandomStream(seed).sample(corpus.documents, k)))
 
 
 def cross_dataset_eval(train: Corpus, test: Corpus, arms,

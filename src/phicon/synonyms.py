@@ -51,21 +51,28 @@ shouldn shouldn't wasn wasn't weren weren't won won't wouldn wouldn't
 
 @dataclass(frozen=True)
 class SynonymProvider:
-    index: dict  # (lemma, PosTag) -> frozenset of synonym lemmas
-    pos_index: dict  # lemma -> frozenset of PosTag
+    index: dict  # (lemma, PosTag) -> synonym lemmas, stored without the lemma
     stopwords: frozenset = STOPWORDS
-    # Built once at construction. _unambiguous: each non-stopword lemma with
-    # exactly one POS -> (that POS, its synonyms sorted); only these words
-    # are SR targets and RI anchors. _pools: POS -> its non-stopword
-    # lemmas, sorted.
+    # Built once at construction. pos_index: lemma -> frozenset of PosTag.
+    # _unambiguous: each non-stopword lemma with exactly one POS -> (that
+    # POS, its synonyms sorted); only these words are SR targets and RI
+    # anchors. _pools: POS -> its non-stopword lemmas, sorted.
+    pos_index: dict = field(init=False, repr=False, compare=False)
     _unambiguous: dict = field(init=False, repr=False, compare=False)
     _pools: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tags = self.pos_index
+        index = {(w, pos): frozenset(s for s in syns if s != w)
+                 for (w, pos), syns in self.index.items()}
+        tags: dict[str, set] = {}
+        for w, pos in index:
+            tags.setdefault(w, set()).add(pos)
         lemmas = sorted(w for w in tags if w not in self.stopwords)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "pos_index", {
+            w: frozenset(p) for w, p in tags.items()})
         object.__setattr__(self, "_unambiguous", {
-            w: (pos, tuple(sorted(self.index.get((w, pos), ()))))
+            w: (pos, tuple(sorted(index[w, pos])))
             for w in lemmas if len(tags[w]) == 1 for pos in tags[w]})
         object.__setattr__(self, "_pools", {
             pos: tuple(w for w in lemmas if pos in tags[w]) for pos in PosTag})
@@ -77,16 +84,6 @@ class SynonymProvider:
 
 def _normalize(lemma: str) -> str:
     return " ".join(lemma.replace("_", " ").lower().split())
-
-
-def _build(index: dict, stopwords=STOPWORDS) -> SynonymProvider:
-    pos_index: dict[str, set] = {}
-    frozen = {}
-    for (lemma, pos), syns in index.items():
-        frozen[(lemma, pos)] = frozenset(s for s in syns if s != lemma)
-        pos_index.setdefault(lemma, set()).add(pos)
-    return SynonymProvider(
-        frozen, {w: frozenset(p) for w, p in pos_index.items()}, stopwords)
 
 
 # ---------------------------------------------------------------------------
@@ -107,55 +104,47 @@ def _strip_marker(word: str) -> str:
     return word
 
 
-def _parse_data_file(path) -> dict[str, list[str]]:
-    """WNDB data file -> synset offset -> member lemmas."""
-    synsets: dict[str, list[str]] = {}
+def _read_wndb(path, kind: str, parse_row) -> dict:
+    """A WNDB file as {key: value} over parse_row(fields) -> (key, value) of
+    each row; the license header and blank lines are skipped."""
+    rows = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if line.startswith(" ") or not line.strip():
                 continue  # license header
-            fields = line.rstrip("\n").split(" ")
             try:
-                offset = fields[0]
-                int(offset)
-                w_cnt = int(fields[3], 16)
-                words = [
-                    _normalize(_strip_marker(fields[4 + 2 * i]))
-                    for i in range(w_cnt)
-                ]
-                if not all(words):
-                    raise ValueError
+                key, value = parse_row(line.rstrip("\n").split(" "))
             except (IndexError, ValueError):
-                raise ParseError("malformed WNDB data line",
+                raise ParseError(f"malformed WNDB {kind} line",
                                  str(path), lineno) from None
-            synsets[offset] = words
-    return synsets
+            rows[key] = value
+    return rows
 
 
-def _parse_index_file(path) -> dict[str, list[str]]:
-    """WNDB index file -> lemma -> synset offsets."""
-    lemmas: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.startswith(" ") or not line.strip():
-                continue
-            fields = line.rstrip("\n").split(" ")
-            # lemma pos synset_cnt p_cnt [ptr...] sense_cnt tagsense_cnt offsets...
-            try:
-                lemma = _normalize(fields[0])
-                synset_cnt = int(fields[2])
-                p_cnt = int(fields[3])
-                tail = [x for x in fields[4 + p_cnt:] if x]
-                offsets = tail[2:2 + synset_cnt]
-                if not lemma or len(offsets) != synset_cnt:
-                    raise ValueError
-                for off in offsets:
-                    int(off)
-            except (IndexError, ValueError):
-                raise ParseError("malformed WNDB index line",
-                                 str(path), lineno) from None
-            lemmas[lemma] = offsets
-    return lemmas
+def _data_row(fields) -> tuple[str, list[str]]:
+    """A data file row: synset offset -> member lemmas."""
+    offset = fields[0]
+    int(offset)
+    words = [_normalize(_strip_marker(fields[4 + 2 * i]))
+             for i in range(int(fields[3], 16))]
+    if not all(words):
+        raise ValueError
+    return offset, words
+
+
+def _index_row(fields) -> tuple[str, list[str]]:
+    """An index file row: lemma -> synset offsets."""
+    # lemma pos synset_cnt p_cnt [ptr...] sense_cnt tagsense_cnt offsets...
+    lemma = _normalize(fields[0])
+    synset_cnt = int(fields[2])
+    p_cnt = int(fields[3])
+    tail = [x for x in fields[4 + p_cnt:] if x]
+    offsets = tail[2:2 + synset_cnt]
+    if not lemma or len(offsets) != synset_cnt:
+        raise ValueError
+    for off in offsets:
+        int(off)
+    return lemma, offsets
 
 
 def load_wndb(directory, stopwords=STOPWORDS) -> SynonymProvider:
@@ -171,8 +160,9 @@ def load_wndb(directory, stopwords=STOPWORDS) -> SynonymProvider:
         if not os.path.exists(index_path) or not os.path.exists(data_path):
             raise FileNotFoundError(
                 f"WNDB files {index_name}/{data_name} not found in {directory}")
-        synsets = _parse_data_file(data_path)
-        for lemma, offsets in _parse_index_file(index_path).items():
+        synsets = _read_wndb(data_path, "data", _data_row)
+        for lemma, offsets in _read_wndb(index_path, "index",
+                                         _index_row).items():
             syns = index.setdefault((lemma, pos), set())
             for off in offsets:
                 members = synsets.get(off)
@@ -180,7 +170,7 @@ def load_wndb(directory, stopwords=STOPWORDS) -> SynonymProvider:
                     raise ParseError(
                         f"index references missing synset {off}", index_path)
                 syns.update(members)
-    return _build(index, stopwords)
+    return SynonymProvider(index, stopwords)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +203,7 @@ def load_tsv(path, stopwords=STOPWORDS) -> SynonymProvider:
                 raise ParseError("empty lemma", str(path), lineno)
             syns = set(map(_normalize, rawsyns.split(","))) - {""}
             index.setdefault((lemma, pos), set()).update(syns)
-    return _build(index, stopwords)
+    return SynonymProvider(index, stopwords)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,20 @@ class TestCriterion1GeneralizationImprovement:
         wins = sum(p > b for p, b in zip(arms["phicon"], arms["baseline"]))
         assert wins >= 4, f"phicon beat baseline in only {wins}/5 seeds"
 
+    def test_reverse_direction_means(self, site_splits, site_corpora,
+                                     builtin_registry_s, builtin_provider_s):
+        # SiteB->SiteA. A single seed can lose (the first, at fraction 1.0,
+        # by 0.147), so only the means are compared.
+        for fraction in (0.2, 1.0):
+            means = cross_dataset_eval(
+                site_splits["train_b"], site_corpora[0], ARMS,
+                train_fraction=fraction, n_seeds=5, epochs=5,
+                registry=builtin_registry_s, provider=builtin_provider_s,
+                setting="SiteB->SiteA").means
+            assert means["phicon"] > means["baseline"], (
+                f"fraction {fraction}: phicon {means['phicon']:.4f} "
+                f"<= baseline {means['baseline']:.4f}")
+
     def test_wall_time_under_3_minutes(self, headline_runs):
         assert headline_runs["elapsed"] < 180, (
             f"headline runs took {headline_runs['elapsed']:.0f}s")

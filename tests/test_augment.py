@@ -246,11 +246,26 @@ class TestAugmentCorpus:
                                    AugmentConfig(alpha=1))
         assert [d.id for d in merged.documents] == ["x#aug1", "x#aug1#aug1"]
 
-    def test_keep_context_sentences(self, fixture_registry, tsv_provider):
-        corpus = _mini_corpus()
-        cfg = AugmentConfig(alpha=1, keep_context_sentences=True)
-        merged, _ = augment_corpus(corpus, fixture_registry, tsv_provider, cfg)
-        assert len(merged.documents[2].sentences) == 2
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_unchanged_sentence_leaves_its_copy(self, tsv_provider, drop):
+        # "William" is the only Patient, so with SR and RI off the first
+        # document's sentence comes out as it went in.
+        registry = phicon.LexiconRegistry(
+            {"Patient": phicon.Lexicon("Patient", ("William",))})
+        corpus = Corpus((
+            Document("same", (sent(("Saw", "O"), ("William", "B-Patient")),)),
+            Document("diff", (sent(("Saw", "O"), ("Harriet", "B-Patient")),)),
+        ))
+        cfg = AugmentConfig(alpha=2, enable_sr=False, enable_ri=False,
+                            drop_unchanged=drop)
+        merged, records = augment_corpus(corpus, registry, tsv_provider, cfg)
+        copies = [d.id for d in merged.documents[2:]]
+        if drop:
+            assert copies == ["diff#aug1", "diff#aug2"]
+        else:
+            assert copies == ["same#aug1", "diff#aug1", "same#aug2",
+                              "diff#aug2"]
+        assert [f"{r.doc_id}#aug{r.run_index}" for r in records] == copies
 
     def test_alpha_zero_is_identity(self, fixture_registry, tsv_provider):
         corpus = _mini_corpus()

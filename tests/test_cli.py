@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -180,11 +181,9 @@ class TestConfig:
         "[generator.Zip]\npatterns =\n    \\d{5}\nweights = -1\n",
         "[generator.Zip]\npatterns =\n    \\d{5}\nweights = 1 2\n",
         "[generator.Zip]\nweights = 2\n",
-        "[generator.Zip]\nseed = 9\n",
     ], ids=["curated-type", "unknown-type", "count-zero", "count-negative",
             "seed-not-int", "count-not-int", "weight-nan", "weight-inf",
-            "weight-negative", "weight-count", "weights-without-patterns",
-            "seed-only"])
+            "weight-negative", "weight-count", "weights-without-patterns"])
     def test_bad_generator_section(self, small_conll, tmp_path, capsys, text):
         # Each used to augment with exit 0, the section ignored or a NaN or
         # infinite weight taken, or fail with a message that names no
@@ -335,6 +334,36 @@ class TestAugmentCommand:
         assert len(merged.documents) == 12 * 3
         assert records.read_text().count("\n") > 0
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--alpha", "0"], ""), (["--alpha", "1"], ""),
+        (["--alpha", "2"], ""), (["--alpha", "3"], ""),
+        ([], "enable_phi = false\n"), ([], "enable_sr = false\n"),
+        ([], "enable_ri = false\n"),
+        ([], "enable_sr = false\nenable_ri = false\ndrop_unchanged = true\n"),
+        ([], "enable_sr = false\nenable_ri = false\ndrop_unchanged = false\n"),
+    ], ids=["alpha0", "alpha1", "alpha2", "alpha3", "no-phi", "no-sr",
+            "no-ri", "phi-only-drop", "phi-only-keep"])
+    def test_one_record_per_copied_sentence(self, small_conll, tmp_path,
+                                            capsys, flags, config):
+        # Every sentence of an augmented copy has exactly one record, and
+        # the logged count is the number of records.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[augment]\n" + config)
+        out, records = tmp_path / "aug.conll", tmp_path / "records.jsonl"
+        capsys.readouterr()
+        assert run(["--config", str(cfg), "augment", "--in", str(small_conll),
+                    "--out", str(out), "--records", str(records)] + flags) == 0
+        logged = re.search(r"\((\d+) augmented sentences\)",
+                           capsys.readouterr().err)
+        original = phicon.read_conll(small_conll).documents
+        merged = phicon.read_conll(out).documents
+        assert merged[:len(original)] == original
+        copies = [d.id for d in merged[len(original):] for _ in d.sentences]
+        lines = [json.loads(line)
+                 for line in records.read_text().splitlines()]
+        assert [f"{r['doc_id']}#aug{r['run_index']}" for r in lines] == copies
+        assert int(logged[1]) == len(lines)
+
     def test_byte_identical_reruns(self, small_conll, tmp_path):
         out1, out2 = tmp_path / "a.conll", tmp_path / "b.conll"
         for out in (out1, out2):
@@ -406,6 +435,18 @@ class TestAugmentCommand:
                     for s in phicon.extract_entities(sent)
                     if s.phi_type == "Patient"}
         assert patients == {"Zebulon"}
+
+    def test_lexicon_file_of_unknown_type(self, small_conll, tmp_path, capsys):
+        lexdir = tmp_path / "lex"
+        lexdir.mkdir()
+        (lexdir / "Bogus.txt").write_text("x\n")
+        out = tmp_path / "aug.conll"
+        capsys.readouterr()
+        assert run(["augment", "--in", str(small_conll), "--out", str(out),
+                    "--lexicon-dir", str(lexdir)]) == 1
+        assert capsys.readouterr().err == \
+            "error: 'Bogus' is not a fine PHI type\n"
+        assert not out.exists()
 
     def test_tsv_synonym_source(self, small_conll, tmp_path):
         tsv = tmp_path / "syn.tsv"
@@ -647,6 +688,9 @@ class TestExitContract:
         # Used to exit 0 and write "x".
         (["gen-lexicon", "--type", "ID", "--out", "{out}"],
          "[generator.ID]\npatterns = \\d{0}x\ncount = 1\n", 1),
+        # A removed key: its copies held sentences that had no record.
+        (["augment", "--in", "{corpus}", "--out", "{out}"],
+         "[augment]\nkeep_context_sentences = true\n", 1),
     ], ids=["alpha", "sr-rate", "ratios", "ratios-two", "ratios-negative",
             "ratios-sum", "alphas", "config-value",
             "config-no-section", "non-utf8-input", "synth-docs",
@@ -655,7 +699,7 @@ class TestExitContract:
             "fraction-1.5", "config-n-seeds", "config-epochs",
             "alphas-repeated", "config-alphas-repeated", "empty-patterns",
             "empty-patterns-count", "empty-weights", "unsupported-pattern",
-            "zero-quantifier"])
+            "zero-quantifier", "keep-context-sentences"])
     def test_bad_value_or_file(self, small_conll, tmp_path, capsys, argv,
                                config, code):
         latin1 = tmp_path / "latin1.conll"
@@ -681,30 +725,32 @@ class TestExitContract:
 
 def _ref_build_registry(seed, lexicon_dir, generators):
     """The two-step registry construction that one builtin_registry call
-    replaced: builtin pools with count-only sizes, then a second registry
-    with lexicon-dir files and pattern generators swapped in."""
+    replaced: the builtin pools, then a second registry with lexicon-dir
+    files and then every generator section swapped in. A section draws its
+    count (default: the builtin count) from its patterns (default: the
+    type's spec) under its seed (default: the registry seed)."""
     from importlib import resources
     from phicon import builtin
-    counts = {t: g["count"] for t, g in generators.items() if g["count"]}
-    sizes = dict(builtin.DEFAULT_BUILTIN_COUNTS, **counts)
     by_fine = {}
     for phi_type, filename in builtin._POOL_FILES.items():
         with resources.as_file(builtin._data_path(filename)) as path:
             by_fine[phi_type] = phicon.load_lexicon(path, phi_type)
     for phi_type, spec in phicon.DEFAULT_GENERATOR_SPECS.items():
         by_fine[phi_type] = phicon.generate_identifiers(
-            spec, sizes[phi_type], seed)
+            spec, builtin.DEFAULT_BUILTIN_COUNTS[phi_type], seed)
     for name in sorted(os.listdir(lexicon_dir)):
         if name.endswith(".txt"):
             by_fine[name[:-4]] = phicon.load_lexicon(
                 os.path.join(lexicon_dir, name), name[:-4])
     for phi_type, g in generators.items():
+        spec = phicon.DEFAULT_GENERATOR_SPECS[phi_type]
         if g["patterns"]:
             spec = phicon.GeneratorSpec(
                 phi_type, g["patterns"],
                 g["weights"] or (1.0,) * len(g["patterns"]))
-            by_fine[phi_type] = phicon.generate_identifiers(
-                spec, counts.get(phi_type, 2000), g["seed"])
+        by_fine[phi_type] = phicon.generate_identifiers(
+            spec, g["count"] or builtin.DEFAULT_BUILTIN_COUNTS[phi_type],
+            seed if g["seed"] is None else g["seed"])
     return phicon.LexiconRegistry(by_fine)
 
 
@@ -719,7 +765,7 @@ class TestBuildRegistry:
         lexdir.mkdir()
         (lexdir / "Patient.txt").write_text("Zebulon\nQuincy\n")
         (lexdir / "Zip.txt").write_text("00000\n")   # a pattern section wins
-        (lexdir / "Date.txt").write_text("Yesterday\n")  # beats count-only
+        (lexdir / "Date.txt").write_text("Yesterday\n")  # so does count-only
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[generator.Zip]\npatterns =\n    9\\d{4}\ncount = 300\n"
                        "[generator.Username]\npatterns =\n    u\\d{4}\n"
@@ -728,16 +774,19 @@ class TestBuildRegistry:
         registry = cli._build_registry(self._args(lexdir), load_config(cfg))
         reference = _ref_build_registry(4, lexdir, {
             "Zip": {"patterns": (r"9\d{4}",), "weights": (), "count": 300,
-                    "seed": 0},
+                    "seed": None},
             "Username": {"patterns": (r"u\d{4}",), "weights": (),
-                         "count": None, "seed": 0},
-            "Phone": {"patterns": (), "weights": (), "count": 50, "seed": 0},
-            "Date": {"patterns": (), "weights": (), "count": 60, "seed": 0}})
+                         "count": None, "seed": None},
+            "Phone": {"patterns": (), "weights": (), "count": 50,
+                      "seed": None},
+            "Date": {"patterns": (), "weights": (), "count": 60,
+                     "seed": None}})
         assert registry.by_fine == reference.by_fine
         assert list(registry.by_fine) == list(reference.by_fine)
         assert registry.by_fine["Patient"].entries == ("Zebulon", "Quincy")
-        assert len(registry.by_fine["Zip"]) == 300
-        assert len(registry.by_fine["Phone"]) == 50
+        assert {t: len(registry.by_fine[t]) for t in
+                ("Zip", "Username", "Phone", "Date")} == \
+            {"Zip": 300, "Username": 1000, "Phone": 50, "Date": 60}
 
     def test_default_is_builtin_registry(self):
         assert cli._build_registry(self._args(seed=3), {}).by_fine == \
@@ -757,6 +806,41 @@ class TestBuildRegistry:
         registry = cli._build_registry(self._args(), load_config(cfg))
         assert registry.by_fine["Phone"] == phicon.generate_identifiers(
             phicon.DEFAULT_GENERATOR_SPECS["Phone"], 50, 9)
+
+    def test_pattern_section_follows_seed(self, tmp_path):
+        # A section without its own seed used to draw under seed 0, so every
+        # --seed gave the same pool.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Zip]\npatterns =\n    9\\d{4}\ncount = 50\n")
+        spec = phicon.GeneratorSpec("Zip", (r"9\d{4}",))
+        pools = [cli._build_registry(self._args(seed=seed),
+                                     load_config(cfg)).by_fine["Zip"]
+                 for seed in (1, 2)]
+        assert pools == [phicon.generate_identifiers(spec, 50, seed)
+                         for seed in (1, 2)]
+        assert pools[0] != pools[1]
+
+    def test_count_only_section_beats_lexicon_file(self, tmp_path):
+        # The lexicon file used to win over a section without patterns.
+        lexdir = tmp_path / "lex"
+        lexdir.mkdir()
+        (lexdir / "Phone.txt").write_text("555-0100\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Phone]\ncount = 50\n")
+        registry = cli._build_registry(self._args(lexdir), load_config(cfg))
+        assert registry.by_fine["Phone"] == phicon.generate_identifiers(
+            phicon.DEFAULT_GENERATOR_SPECS["Phone"], 50, 4)
+
+    def test_seed_only_section_reseeds_default_pool(self, small_conll,
+                                                     tmp_path):
+        # Used to exit 1: "seed given without patterns or count".
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[generator.Zip]\nseed = 9\n")
+        registry = cli._build_registry(self._args(), load_config(cfg))
+        assert registry.by_fine["Zip"] == phicon.generate_identifiers(
+            phicon.DEFAULT_GENERATOR_SPECS["Zip"], 2000, 9)
+        assert run(["--config", str(cfg), "augment", "--in", str(small_conll),
+                    "--out", str(tmp_path / "aug.conll")]) == 0
 
     def test_one_registry_per_build(self, tmp_path, monkeypatch):
         built = []

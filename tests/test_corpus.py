@@ -98,6 +98,8 @@ class TestOnePassParse:
         ("x\tO\r\ny\tO\r\n", "<string>:1: bad label 'O\\r'"),
         ("x\tB-Doctor\ny\tI-Doctor\nz\tO\nw\tI-Doctor\n",
          "<string>:4: invalid BIO transition to I-Doctor"),
+        ("#doc id=a\nx\tO\n\n#doc id=\ny\tO\n",
+         "<string>:4: empty document id"),
     ])
     def test_error_line_and_message(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -444,6 +446,15 @@ class TestSplitCorpus:
     def test_too_few_documents(self):
         with pytest.raises(PhiconError):
             phicon.split_corpus(self._docs(2), (0.7, 0.1, 0.2), seed=1)
+
+    @pytest.mark.parametrize("ratios,message", [
+        ((0.5, 0.5, 0.0), "ratios must be positive"),
+        ((0.5, 0.5, 0.5), "ratios must sum to 1"),
+    ])
+    def test_bad_ratios_rejected(self, ratios, message):
+        with pytest.raises(ValueError) as err:
+            phicon.split_corpus(self._docs(10), ratios, seed=1)
+        assert str(err.value) == message
 
 
 class TestCorpusStats:

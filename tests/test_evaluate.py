@@ -318,6 +318,12 @@ class TestCrossDatasetEval:
             cross_dataset_eval(site_splits["train_a"], site_splits["dev_b"],
                                [("baseline", None)], train_fraction=0.0)
 
+    def test_no_seeds_rejected(self, site_splits):
+        with pytest.raises(PhiconError) as err:
+            cross_dataset_eval(site_splits["train_a"], site_splits["dev_b"],
+                               [("baseline", None)], n_seeds=0)
+        assert str(err.value) == "n_seeds must be >= 1"
+
 
 class TestAlphaSweep:
     """The sweep is one experiment over the sweep_arms of its alphas."""

@@ -167,6 +167,15 @@ class TestGenerateIdentifiers:
         with pytest.raises(ExhaustionError):
             phicon.generate_identifiers(ZIP, 100_001, seed=1)
 
+    def test_retry_budget_exhaustion(self):
+        # The space (11 values) covers the count, but nearly every draw
+        # takes "A", so the 100 draws per entry run out first.
+        spec = phicon.GeneratorSpec("ID", ("A", r"\d"), (1e9, 1))
+        with pytest.raises(ExhaustionError) as err:
+            phicon.generate_identifiers(spec, 11, seed=0)
+        assert str(err.value) == \
+            "ID: could not produce 11 distinct entries within 1100 draws"
+
     def test_deterministic(self):
         a = phicon.generate_identifiers(ZIP, 100, seed=7)
         b = phicon.generate_identifiers(ZIP, 100, seed=7)
@@ -326,6 +335,19 @@ class TestRegistryResolve:
         assert lex is registry.by_fine["ID"]
         assert not set(registry.by_fine["MedicalRecord"].entries) <= set(
             lex.entries)
+
+    @pytest.mark.parametrize("by_fine,message", [
+        ({"Bogus": phicon.Lexicon("Bogus", ("x",))},
+         "'Bogus' is not a fine PHI type"),
+        ({"NAME": phicon.Lexicon("NAME", ("Ann",))},
+         "'NAME' is not a fine PHI type"),
+        ({"Zip": phicon.Lexicon("Phone", ("555-0100",))},
+         "lexicon for Phone registered under Zip"),
+    ], ids=["unknown", "coarse", "wrong-type"])
+    def test_bad_key_rejected(self, by_fine, message):
+        with pytest.raises(LexiconError) as err:
+            phicon.LexiconRegistry(by_fine)
+        assert str(err.value) == message
 
     def test_empty_registry_constructs(self):
         registry = phicon.LexiconRegistry({})

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 import phicon
@@ -59,6 +61,15 @@ class TestWndbLoader:
         with pytest.raises(ParseError, match=f"malformed WNDB {kind} line"):
             phicon.load_wndb(tmp_path)
 
+    def test_index_names_missing_synset(self, tmp_path, wndb_dir):
+        shutil.copytree(wndb_dir, tmp_path, dirs_exist_ok=True)
+        with open(tmp_path / "index.adv", "a", encoding="utf-8") as f:
+            f.write("slowly r 1 0 1 0 99999999\n")
+        with pytest.raises(ParseError) as err:
+            phicon.load_wndb(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'index.adv'}: index "
+                                  "references missing synset 99999999")
+
     def test_deterministic_construction(self, wndb_dir):
         a = phicon.load_wndb(wndb_dir)
         b = phicon.load_wndb(wndb_dir)
@@ -88,6 +99,13 @@ class TestTsvLoader:
         path.write_text("met\tgerund\tx\n")
         with pytest.raises(ParseError):
             phicon.load_tsv(path)
+
+    def test_four_columns_rejected(self, tmp_path):
+        path = tmp_path / "four.tsv"
+        path.write_text("met\tverb\tsaw\nrun\tverb\tjog\textra\n")
+        with pytest.raises(ParseError) as err:
+            phicon.load_tsv(path)
+        assert str(err.value) == f"{path}:2: expected 3 tab-separated columns"
 
     def test_whitespace_runs_collapse(self, tmp_path):
         path = tmp_path / "ws.tsv"

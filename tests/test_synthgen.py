@@ -7,7 +7,7 @@ from phicon.corpus import (
     Corpus, Document, Label, O, Sentence, Token, validate_bio,
 )
 from phicon.errors import PhiconError
-from phicon.synthgen import builtin_profiles, generate_corpus
+from phicon.synthgen import SiteProfile, builtin_profiles, generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +159,17 @@ def _per_token_reference(corpus: Corpus) -> Corpus:
                 Token(t.text, lab) for t, lab in zip(s.tokens, labels))))
         docs.append(Document(doc.id, tuple(sents)))
     return Corpus(tuple(docs))
+
+
+@pytest.mark.parametrize("template,message", [
+    ("a [meds] b", "no filler pool for slot [meds] in template 'a [meds] b'"),
+    ("a <Patient> b",
+     "no pool or generator for slot <Patient> in template 'a <Patient> b'"),
+    ("a <Zip> b",  # generator-backed, but no format preference
+     "no pool or generator for slot <Zip> in template 'a <Zip> b'"),
+], ids=["filler", "curated", "generated"])
+def test_slot_without_pool_rejected(template, message):
+    profile = SiteProfile("S", (template,), {}, {})
+    with pytest.raises(PhiconError) as err:
+        generate_corpus(profile, 1, (1, 1), seed=0)
+    assert str(err.value) == message
